@@ -17,6 +17,16 @@ import (
 	"aid/internal/service"
 )
 
+// Connection timeouts for `aid serve`. A client that never finishes
+// its request headers, or parks an idle keep-alive connection, would
+// otherwise hold a connection and its goroutine forever. There is no
+// write timeout: the event stream legitimately stays open for a whole
+// session.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // runServe is the daemon mode: `aid serve` hosts the multi-tenant
 // debugging service over HTTP until SIGTERM/SIGINT, then drains —
 // in-flight sessions get the grace period to finish before being
@@ -86,7 +96,11 @@ func runServe(args []string) {
 		fmt.Fprintln(os.Stderr, "aid serve:", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: service.NewHandler(mgr)}
+	srv := &http.Server{
+		Handler:           service.NewHandler(mgr),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	fmt.Fprintf(os.Stderr, "aid serve: listening on http://%s\n", ln.Addr())
 
 	errc := make(chan error, 1)

@@ -546,11 +546,6 @@ func (d *DAG) ReachesAny(i int, s *NodeSet) bool {
 	return d.prec[i].Intersects(s.bits)
 }
 
-// ReachedFromAny reports whether any member of s precedes node i.
-func (d *DAG) ReachedFromAny(i int, s *NodeSet) bool {
-	return d.pred[i].Intersects(s.bits)
-}
-
 // OrDescendantsInto unions node i's descendant row into s — the
 // incremental-reachability primitive: a walk that ORs each walked
 // node's row maintains "reached from any walked node" as one set,
@@ -568,17 +563,6 @@ func (d *DAG) Ancestors(id predicate.ID) []predicate.ID {
 	}
 	var out []predicate.ID
 	d.pred[j].ForEach(func(i int) { out = append(out, d.nodes[i]) })
-	return out
-}
-
-// Descendants returns every node that id precedes.
-func (d *DAG) Descendants(id predicate.ID) []predicate.ID {
-	i, ok := d.idx[id]
-	if !ok {
-		return nil
-	}
-	var out []predicate.ID
-	d.prec[i].ForEach(func(j int) { out = append(out, d.nodes[j]) })
 	return out
 }
 
@@ -627,19 +611,6 @@ func (d *DAG) LevelsIndex(alive *NodeSet) []int {
 	return d.levelsDense(d.maskFor(alive))
 }
 
-// LevelsWithin computes topological levels restricted to the alive set
-// (nil = all nodes), keyed by ID — the edge form of levelsDense.
-func (d *DAG) LevelsWithin(alive *NodeSet) map[predicate.ID]int {
-	mask := d.maskFor(alive)
-	lvls := d.levelsDense(mask)
-	levels := make(map[predicate.ID]int)
-	mask.ForEach(func(i int) { levels[d.nodes[i]] = lvls[i] })
-	return levels
-}
-
-// Levels is LevelsWithin over all nodes.
-func (d *DAG) Levels() map[predicate.ID]int { return d.LevelsWithin(nil) }
-
 // TopoOrder returns the nodes sorted by level; ties are shuffled with
 // rng (GIWP resolves ties randomly) or sorted by ID when rng is nil.
 func (d *DAG) TopoOrder(rng *rand.Rand) []predicate.ID {
@@ -679,79 +650,6 @@ func (d *DAG) TopoOrderWithin(alive *NodeSet, rng *rand.Rand) []predicate.ID {
 	return out
 }
 
-// MinimalWithin returns the minimal elements of the suborder induced by
-// set — the members with no ancestor inside set. They form an antichain
-// (mutual incomparability follows from closure): the candidate frontier
-// an intervention scheduler materializes each round. Output is sorted
-// by ID.
-func (d *DAG) MinimalWithin(set *NodeSet) []predicate.ID {
-	mask := d.maskFor(set)
-	var out []predicate.ID
-	mask.ForEach(func(i int) {
-		if !d.pred[i].Intersects(mask) {
-			out = append(out, d.nodes[i])
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// IsAntichain reports whether the given nodes are mutually unordered —
-// no precedence between any pair. Unknown nodes are ignored. Groups
-// drawn from an antichain are independent: no intervention on one can
-// silence or reorder another through the DAG's precedence relation.
-func (d *DAG) IsAntichain(ids []predicate.ID) bool {
-	mask := bitvec.New(len(d.nodes))
-	for _, id := range ids {
-		if i, ok := d.idx[id]; ok {
-			mask.SetInCap(i)
-		}
-	}
-	ok := true
-	mask.ForEach(func(i int) {
-		if ok && d.prec[i].Intersects(mask) {
-			ok = false
-		}
-	})
-	return ok
-}
-
-// Unordered reports whether no precedence edge crosses the two groups
-// in either direction — the scheduler's independence test for batching
-// two candidate groups into one logical round.
-func (d *DAG) Unordered(a, b []predicate.ID) bool {
-	maskB := bitvec.New(len(d.nodes))
-	for _, id := range b {
-		if i, ok := d.idx[id]; ok {
-			maskB.SetInCap(i)
-		}
-	}
-	for _, id := range a {
-		i, ok := d.idx[id]
-		if !ok {
-			continue
-		}
-		if maskB.Has(i) || d.prec[i].Intersects(maskB) || d.pred[i].Intersects(maskB) {
-			return false
-		}
-	}
-	return true
-}
-
-// UnorderedIndex is Unordered over dense node indices.
-func (d *DAG) UnorderedIndex(a, b []int) bool {
-	maskB := bitvec.New(len(d.nodes))
-	for _, i := range b {
-		maskB.SetInCap(i)
-	}
-	for _, i := range a {
-		if maskB.Has(i) || d.prec[i].Intersects(maskB) || d.pred[i].Intersects(maskB) {
-			return false
-		}
-	}
-	return true
-}
-
 // FrontierIndex returns the dense indices of alive\exclude members at
 // the minimum topological level computed within alive — the junction
 // members Algorithm 2 visits next, in ID order. The result is empty
@@ -775,17 +673,6 @@ func (d *DAG) FrontierIndex(alive, exclude *NodeSet) []int {
 		}
 	})
 	sort.Slice(out, func(a, b int) bool { return d.idRank[out[a]] < d.idRank[out[b]] })
-	return out
-}
-
-// LevelFrontierWithin is FrontierIndex at the ID edge: the frontier
-// members as IDs, sorted.
-func (d *DAG) LevelFrontierWithin(alive, exclude *NodeSet) []predicate.ID {
-	idxs := d.FrontierIndex(alive, exclude)
-	out := make([]predicate.ID, len(idxs))
-	for k, i := range idxs {
-		out[k] = d.nodes[i]
-	}
 	return out
 }
 
@@ -834,31 +721,6 @@ func (d *DAG) BranchesIndex(junction []int, alive *NodeSet) [][]int {
 	return out
 }
 
-// Branches is BranchesIndex at the ID edge, keyed by junction member.
-// Unknown members map to a branch containing only themselves.
-func (d *DAG) Branches(junction []predicate.ID, alive *NodeSet) map[predicate.ID][]predicate.ID {
-	out := make(map[predicate.ID][]predicate.ID, len(junction))
-	var known []int
-	var knownIDs []predicate.ID
-	for _, p := range junction {
-		if i, ok := d.idx[p]; ok {
-			known = append(known, i)
-			knownIDs = append(knownIDs, p)
-		} else {
-			out[p] = []predicate.ID{p}
-		}
-	}
-	dense := d.BranchesIndex(known, alive)
-	for k, branch := range dense {
-		ids := make([]predicate.ID, len(branch))
-		for x, q := range branch {
-			ids[x] = d.nodes[q]
-		}
-		out[knownIDs[k]] = ids
-	}
-	return out
-}
-
 // ReductionEdges returns the transitive reduction (the minimal edge set
 // with the same closure) for display, sorted lexicographically.
 func (d *DAG) ReductionEdges() [][2]predicate.ID {
@@ -895,13 +757,4 @@ func (d *DAG) Dot() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// PathTo reports whether a path exists from id to the failure predicate
-// (trivially true for F itself).
-func (d *DAG) PathTo(id, target predicate.ID) bool {
-	if id == target {
-		return true
-	}
-	return d.Precedes(id, target)
 }

@@ -76,16 +76,47 @@ func TestAncestorsDescendants(t *testing.T) {
 	if !reflect.DeepEqual(anc, want) {
 		t.Fatalf("Ancestors(P11) = %v, want %v", anc, want)
 	}
-	desc := d.Descendants("P9")
-	sort.Slice(desc, func(i, j int) bool { return desc[i] < desc[j] })
-	if !reflect.DeepEqual(desc, []predicate.ID{"F", "P10"}) {
-		t.Fatalf("Descendants(P9) = %v", desc)
+	p9, _ := d.IndexOf("P9")
+	desc := d.NewNodeSet()
+	d.OrDescendantsInto(p9, desc)
+	if got := setIDs(d, desc); !reflect.DeepEqual(got, []predicate.ID{"F", "P10"}) {
+		t.Fatalf("descendants of P9 = %v", got)
 	}
+}
+
+// indexIDs maps dense indices to their IDs, in the given order.
+func indexIDs(d *DAG, idxs []int) []predicate.ID {
+	out := make([]predicate.ID, len(idxs))
+	for k, i := range idxs {
+		out[k] = d.IDAt(i)
+	}
+	return out
+}
+
+// setIDs lists a node set's members by ID, sorted.
+func setIDs(d *DAG, s *NodeSet) []predicate.ID {
+	var out []predicate.ID
+	s.ForEachIndex(func(i int) { out = append(out, d.IDAt(i)) })
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// levelsByID keys LevelsIndex's per-index levels by ID for the members
+// of alive (nil = all nodes).
+func levelsByID(d *DAG, alive *NodeSet) map[predicate.ID]int {
+	lvls := d.LevelsIndex(alive)
+	out := map[predicate.ID]int{}
+	for i, id := range d.Nodes() {
+		if alive == nil || alive.HasIndex(i) {
+			out[id] = lvls[i]
+		}
+	}
+	return out
 }
 
 func TestLevels(t *testing.T) {
 	d := paperDAG(t)
-	levels := d.Levels()
+	levels := levelsByID(d, nil)
 	wantLevels := map[predicate.ID]int{
 		"P1": 0, "P2": 1, "P3": 2,
 		"P4": 3, "P7": 3,
@@ -103,7 +134,7 @@ func TestLevels(t *testing.T) {
 func TestLevelsWithinSubset(t *testing.T) {
 	d := paperDAG(t)
 	alive := d.NewNodeSet("P1", "P3", "P7", "F")
-	levels := d.LevelsWithin(alive)
+	levels := levelsByID(d, alive)
 	if len(levels) != 4 {
 		t.Fatalf("levels over subset = %v", levels)
 	}
@@ -151,13 +182,13 @@ func TestRoots(t *testing.T) {
 func TestBranchesAtJunction(t *testing.T) {
 	d := paperDAG(t)
 	// Junction after P3: members P4 and P7 (level 3).
-	branches := d.Branches([]predicate.ID{"P4", "P7"}, nil)
-	b1 := branches["P4"]
+	branches := d.BranchesIndex(junctionIdx(d, "P4", "P7"), nil)
+	b1 := indexIDs(d, branches[0])
 	sort.Slice(b1, func(i, j int) bool { return b1[i] < b1[j] })
 	if !reflect.DeepEqual(b1, []predicate.ID{"P4", "P5", "P6"}) {
 		t.Fatalf("B1 = %v, want [P4 P5 P6] (paper's B1)", b1)
 	}
-	b2 := branches["P7"]
+	b2 := indexIDs(d, branches[1])
 	sort.Slice(b2, func(i, j int) bool { return b2[i] < b2[j] })
 	want := []predicate.ID{"P10", "P11", "P7", "P8", "P9"}
 	if !reflect.DeepEqual(b2, want) {
@@ -168,17 +199,26 @@ func TestBranchesAtJunction(t *testing.T) {
 func TestBranchesExcludeDeadAndF(t *testing.T) {
 	d := paperDAG(t)
 	alive := d.NewNodeSet("P4", "P5", "P7", "P11", "F")
-	branches := d.Branches([]predicate.ID{"P4", "P7"}, alive)
-	b1 := branches["P4"]
+	branches := d.BranchesIndex(junctionIdx(d, "P4", "P7"), alive)
+	b1 := indexIDs(d, branches[0])
 	sort.Slice(b1, func(i, j int) bool { return b1[i] < b1[j] })
 	if !reflect.DeepEqual(b1, []predicate.ID{"P4", "P5"}) {
 		t.Fatalf("B1 restricted = %v", b1)
 	}
-	for _, q := range branches["P7"] {
+	for _, q := range indexIDs(d, branches[1]) {
 		if q == "F" {
 			t.Fatal("branch contains failure predicate")
 		}
 	}
+}
+
+// junctionIdx resolves junction members to dense indices.
+func junctionIdx(d *DAG, ids ...predicate.ID) []int {
+	out := make([]int, len(ids))
+	for k, id := range ids {
+		out[k], _ = d.IndexOf(id)
+	}
+	return out
 }
 
 func TestReductionEdges(t *testing.T) {
@@ -380,60 +420,21 @@ func TestBuildProducesStrictPartialOrder(t *testing.T) {
 	}
 }
 
-func TestPathTo(t *testing.T) {
-	d := paperDAG(t)
-	if !d.PathTo("P1", "F") || !d.PathTo("F", "F") {
-		t.Fatal("PathTo failed on reachable nodes")
-	}
-	if d.PathTo("F", "P1") {
-		t.Fatal("PathTo found reverse path")
-	}
-}
-
+// TestMinimalWithin checks that the frontier of a set with nothing
+// excluded is its minimal elements: the members with no ancestor inside
+// the set sit at level 0.
 func TestMinimalWithin(t *testing.T) {
 	d := paperDAG(t)
 	// Whole graph: P1 is the unique root.
-	if got := d.MinimalWithin(nil); !reflect.DeepEqual(got, []predicate.ID{"P1"}) {
-		t.Fatalf("MinimalWithin(all) = %v, want [P1]", got)
+	if got := indexIDs(d, d.FrontierIndex(nil, nil)); !reflect.DeepEqual(got, []predicate.ID{"P1"}) {
+		t.Fatalf("frontier(all) = %v, want [P1]", got)
 	}
 	// Restricted to the two parallel branches after P3: their heads are
-	// the frontier, and they form an antichain.
+	// the frontier.
 	set := d.NewNodeSet("P4", "P5", "P7", "P8", "P9")
-	got := d.MinimalWithin(set)
+	got := indexIDs(d, d.FrontierIndex(set, nil))
 	if !reflect.DeepEqual(got, []predicate.ID{"P4", "P7"}) {
-		t.Fatalf("MinimalWithin = %v, want [P4 P7]", got)
-	}
-	if !d.IsAntichain(got) {
-		t.Fatal("frontier is not an antichain")
-	}
-}
-
-func TestIsAntichainAndUnordered(t *testing.T) {
-	d := paperDAG(t)
-	if !d.IsAntichain([]predicate.ID{"P4", "P8", "P9"}) {
-		t.Fatal("parallel branch members should be an antichain")
-	}
-	if d.IsAntichain([]predicate.ID{"P4", "P5"}) {
-		t.Fatal("chain members reported as antichain")
-	}
-	if !d.IsAntichain(nil) || !d.IsAntichain([]predicate.ID{"P4"}) {
-		t.Fatal("trivial antichains rejected")
-	}
-	// Unknown nodes are ignored.
-	if !d.IsAntichain([]predicate.ID{"P4", "ghost"}) {
-		t.Fatal("unknown node broke the antichain test")
-	}
-	// The two exclusive branches under P3 are mutually unordered...
-	if !d.Unordered([]predicate.ID{"P4", "P5", "P6"}, []predicate.ID{"P7", "P8", "P9"}) {
-		t.Fatal("independent branches reported ordered")
-	}
-	// ...but anything containing an ancestor of the other group is not.
-	if d.Unordered([]predicate.ID{"P3", "P4"}, []predicate.ID{"P7"}) {
-		t.Fatal("P3 precedes P7 — groups are not unordered")
-	}
-	// Overlap counts as ordered.
-	if d.Unordered([]predicate.ID{"P4"}, []predicate.ID{"P4"}) {
-		t.Fatal("overlapping groups reported unordered")
+		t.Fatalf("frontier = %v, want [P4 P7]", got)
 	}
 }
 
@@ -441,25 +442,26 @@ func TestLevelFrontierWithin(t *testing.T) {
 	d := paperDAG(t)
 	alive := d.NewNodeSet("P3", "P4", "P7", "P8", "F")
 	// No exclusions: P3 alone sits at the minimum level.
-	if got := d.LevelFrontierWithin(alive, nil); !reflect.DeepEqual(got, []predicate.ID{"P3"}) {
-		t.Fatalf("LevelFrontierWithin = %v, want [P3]", got)
+	if got := indexIDs(d, d.FrontierIndex(alive, nil)); !reflect.DeepEqual(got, []predicate.ID{"P3"}) {
+		t.Fatalf("FrontierIndex = %v, want [P3]", got)
 	}
 	// Excluding the walked P3 exposes the junction {P4, P7}; F is
 	// excluded the way branchPrune always excludes it.
 	exclude := d.NewNodeSet("P3", "F")
-	got := d.LevelFrontierWithin(alive, exclude)
+	got := indexIDs(d, d.FrontierIndex(alive, exclude))
 	if !reflect.DeepEqual(got, []predicate.ID{"P4", "P7"}) {
-		t.Fatalf("LevelFrontierWithin(exclude P3) = %v, want [P4 P7]", got)
+		t.Fatalf("FrontierIndex(exclude P3) = %v, want [P4 P7]", got)
 	}
 	// Everything excluded: empty frontier terminates the walk.
 	all := d.NewNodeSet("P3", "P4", "P7", "P8", "F")
-	if got := d.LevelFrontierWithin(alive, all); len(got) != 0 {
+	if got := d.FrontierIndex(alive, all); len(got) != 0 {
 		t.Fatalf("fully excluded frontier = %v, want empty", got)
 	}
 }
 
 // TestMinimalWithinMatchesBruteForce cross-checks the word-parallel
-// frontier against a quadratic reference on random subsets.
+// frontier of a set (nothing excluded) against a quadratic
+// minimal-elements reference on random subsets.
 func TestMinimalWithinMatchesBruteForce(t *testing.T) {
 	d := paperDAG(t)
 	rng := rand.New(rand.NewSource(5))
@@ -487,12 +489,12 @@ func TestMinimalWithinMatchesBruteForce(t *testing.T) {
 			}
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got := d.MinimalWithin(ns)
+		got := indexIDs(d, d.FrontierIndex(ns, nil))
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: MinimalWithin = %v, brute force = %v (set %v)", trial, got, want, set)
+			t.Fatalf("trial %d: frontier = %v, brute force = %v (set %v)", trial, got, want, set)
 		}
 	}
 }

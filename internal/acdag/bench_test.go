@@ -66,7 +66,7 @@ func BenchmarkLevels(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if levels := d.Levels(); len(levels) == 0 {
+		if levels := d.LevelsIndex(nil); len(levels) == 0 {
 			b.Fatal("no levels")
 		}
 	}

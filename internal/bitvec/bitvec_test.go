@@ -146,64 +146,21 @@ func rankRef(ref map[int]bool, i int) int {
 	return n
 }
 
-// TestFusedOpsAgainstReference drives the fused word-parallel ops
-// (AndNotCount, IntersectInto, AndNotInto, IterateWords, ClearFrom)
-// against a map reference across randomized mixed-length operands.
+// TestFusedOpsAgainstReference drives ClearFrom, the overlay-rewind
+// primitive, against a map reference across randomized lengths and
+// cut points.
 func TestFusedOpsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		na, nb := rng.Intn(300), rng.Intn(300)
-		var a, b Vec
-		ra, rb := map[int]bool{}, map[int]bool{}
+		na := rng.Intn(300)
+		var a Vec
+		ra := map[int]bool{}
 		for i := 0; i < na; i++ {
 			if rng.Intn(3) == 0 {
 				a.Set(i)
 				ra[i] = true
 			}
 		}
-		for i := 0; i < nb; i++ {
-			if rng.Intn(3) == 0 {
-				b.Set(i)
-				rb[i] = true
-			}
-		}
-		wantDiff := 0
-		for i := range ra {
-			if !rb[i] {
-				wantDiff++
-			}
-		}
-		if got := a.AndNotCount(b); got != wantDiff {
-			t.Fatalf("AndNotCount = %d, want %d", got, wantDiff)
-		}
-
-		var scratch Vec
-		inter := a.IntersectInto(b, scratch)
-		diff := a.AndNotInto(b, nil)
-		for i := 0; i < 320; i++ {
-			if inter.Has(i) != (ra[i] && rb[i]) {
-				t.Fatalf("IntersectInto.Has(%d) = %v", i, inter.Has(i))
-			}
-			if diff.Has(i) != (ra[i] && !rb[i]) {
-				t.Fatalf("AndNotInto.Has(%d) = %v", i, diff.Has(i))
-			}
-		}
-
-		seen := 0
-		a.IterateWords(func(w int, word uint64) {
-			for word != 0 {
-				i := w<<6 + trailing(word)
-				if !ra[i] {
-					t.Fatalf("IterateWords phantom element %d", i)
-				}
-				seen++
-				word &= word - 1
-			}
-		})
-		if seen != len(ra) {
-			t.Fatalf("IterateWords visited %d of %d", seen, len(ra))
-		}
-
 		cut := rng.Intn(320)
 		c := a.Clone()
 		c.ClearFrom(cut)
@@ -214,26 +171,4 @@ func TestFusedOpsAgainstReference(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestIntersectIntoReusesScratch pins the zero-alloc property: with a
-// big-enough scratch, the fused ops must not allocate.
-func TestIntersectIntoReusesScratch(t *testing.T) {
-	a, b := Ones(256), Ones(128)
-	scratch := make(Vec, 4)
-	if avg := testing.AllocsPerRun(20, func() {
-		scratch = a.IntersectInto(b, scratch)
-		scratch = a.AndNotInto(b, scratch)
-	}); avg != 0 {
-		t.Fatalf("fused ops with scratch allocate %.1f times, want 0", avg)
-	}
-}
-
-func trailing(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
 }

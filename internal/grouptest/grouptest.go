@@ -6,8 +6,7 @@
 // decisions only about the intervened group — a negative test (failure
 // persists) clears the whole group, a positive test (failure stops) is
 // narrowed by binary splitting. Its upper bound is O(D log N) tests for
-// D causal predicates among N (§2); when D ≥ N/log N a linear scan is
-// preferable, which Linear provides.
+// D causal predicates among N (§2).
 package grouptest
 
 import (
@@ -23,52 +22,6 @@ import (
 // disappears when all items in the group are intervened simultaneously
 // (i.e. the group contains at least one causal predicate).
 type Oracle func(group []predicate.ID) (stopped bool, err error)
-
-// BatchOracle answers several independent group tests whose membership
-// is fixed in advance — the groups of a non-adaptive design — allowing
-// the backend to execute their replay bundles concurrently. Results are
-// returned in group order and must equal per-group Oracle calls.
-type BatchOracle func(groups [][]predicate.ID) ([]bool, error)
-
-// OracleCache memoizes group-test outcomes keyed by the canonical
-// (sorted) group membership — the grouptest analog of the intervention
-// scheduler's outcome cache in package core. One cache may be shared
-// across Adaptive, Halving, NonAdaptive and Linear runs over the same
-// deterministic oracle (e.g. the four approaches measured on one
-// synthetic instance): a group any strategy already tested is never
-// re-executed. Test counters are unaffected — every strategy still
-// counts its own calls — and a cache must not wrap a noisy oracle,
-// whose outcome stream has to advance on every test.
-type OracleCache struct {
-	m map[string]bool
-}
-
-// NewOracleCache returns an empty cache.
-func NewOracleCache() *OracleCache { return &OracleCache{m: map[string]bool{}} }
-
-// Wrap returns an oracle that consults the cache before o. A nil cache
-// returns o unchanged.
-func (c *OracleCache) Wrap(o Oracle) Oracle {
-	if c == nil {
-		return o
-	}
-	return func(group []predicate.ID) (bool, error) {
-		key := canonKey(group)
-		if stopped, ok := c.m[key]; ok {
-			return stopped, nil
-		}
-		stopped, err := o(group)
-		if err != nil {
-			return false, err
-		}
-		c.m[key] = stopped
-		return stopped, nil
-	}
-}
-
-// canonKey is the membership-only cache key of a group
-// (predicate.GroupKey, shared with the core intervention scheduler).
-func canonKey(group []predicate.ID) string { return predicate.GroupKey(group) }
 
 // Result reports the identified causal items and the test count.
 type Result struct {
@@ -196,149 +149,6 @@ func halve(pool []predicate.ID, tst *tester) error {
 		pool = rest
 	}
 	return nil
-}
-
-// NonAdaptive identifies a single defective item with a predetermined
-// bit-mask design — the non-adaptive variant §2 contrasts with AID's
-// adaptive scheme. Test i contains every item whose index has bit i
-// set; the pattern of positive outcomes spells the defective's index,
-// confirmed by one verification test. All ⌈log₂N⌉ tests are fixed in
-// advance, so they could run in parallel — but the design only decodes
-// a single defective: with none it reports an empty result, and with
-// several the decode fails verification and an error is returned
-// (adaptive testing is required then).
-func NonAdaptive(items []predicate.ID, oracle Oracle) (*Result, error) {
-	res := &Result{}
-	groups, masks := nonAdaptiveDesign(items)
-	tst := &tester{oracle: oracle, res: res}
-	outcomes := make([]bool, len(groups))
-	for i, group := range groups {
-		positive, err := tst.test(group)
-		if err != nil {
-			return nil, err
-		}
-		outcomes[i] = positive
-	}
-	return nonAdaptiveDecode(items, masks, outcomes, tst)
-}
-
-// NonAdaptiveBatched runs the same predetermined bit-mask design, but
-// asks the oracle for all ⌈log₂N⌉ design groups in one call. The
-// design's groups are fixed in advance and mutually outcome-independent
-// — the defining property of a non-adaptive scheme — so a batch-capable
-// backend (e.g. inject.Executor via the intervention scheduler) can
-// execute their replay bundles concurrently as one logical round. The
-// result and test count are identical to NonAdaptive over the same
-// deterministic oracle; only the verification test remains a second,
-// dependent step.
-func NonAdaptiveBatched(items []predicate.ID, oracle Oracle, batch BatchOracle) (*Result, error) {
-	res := &Result{}
-	groups, masks := nonAdaptiveDesign(items)
-	tst := &tester{oracle: oracle, res: res}
-	var outcomes []bool
-	if len(groups) > 0 {
-		var err error
-		outcomes, err = batch(groups)
-		if err != nil {
-			return nil, fmt.Errorf("grouptest: %w", err)
-		}
-		res.Tests += len(groups)
-	}
-	return nonAdaptiveDecode(items, masks, outcomes, tst)
-}
-
-// nonAdaptiveDesign builds the bit-mask design: group b holds every
-// item whose index has bit b set. Empty groups are dropped; masks
-// remembers each group's bit.
-func nonAdaptiveDesign(items []predicate.ID) (groups [][]predicate.ID, masks []int) {
-	n := len(items)
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	for b := 0; b < bits; b++ {
-		var group []predicate.ID
-		for i, it := range items {
-			if i&(1<<b) != 0 {
-				group = append(group, it)
-			}
-		}
-		if len(group) == 0 {
-			continue
-		}
-		groups = append(groups, group)
-		masks = append(masks, 1<<b)
-	}
-	return groups, masks
-}
-
-// nonAdaptiveDecode spells the defective's index from the design
-// outcomes and runs the verification test.
-func nonAdaptiveDecode(items []predicate.ID, masks []int, outcomes []bool, tst *tester) (*Result, error) {
-	res := tst.res
-	n := len(items)
-	if n == 0 {
-		return res, nil
-	}
-	idx := 0
-	for i, positive := range outcomes {
-		if positive {
-			idx |= masks[i]
-		}
-	}
-	if idx >= n {
-		return nil, fmt.Errorf("grouptest: non-adaptive decode out of range (multiple defectives?)")
-	}
-	// Verification: the decoded candidate must itself test positive;
-	// for a defect-free pool the all-negative pattern decodes to index
-	// 0, which verification then clears.
-	positive, err := tst.test([]predicate.ID{items[idx]})
-	if err != nil {
-		return nil, err
-	}
-	if !positive {
-		if idx == 0 {
-			res.Spurious = append(res.Spurious, items...)
-			return res, nil
-		}
-		return nil, fmt.Errorf("grouptest: non-adaptive decode failed verification (multiple defectives?)")
-	}
-	res.Causes = append(res.Causes, items[idx])
-	for i, it := range items {
-		if i != idx {
-			res.Spurious = append(res.Spurious, it)
-		}
-	}
-	return res, nil
-}
-
-// Linear tests the items one at a time — the preferable strategy when
-// D ≥ N/log N (§2).
-func Linear(items []predicate.ID, oracle Oracle) (*Result, error) {
-	res := &Result{}
-	tst := &tester{oracle: oracle, res: res}
-	for _, it := range items {
-		stopped, err := tst.test([]predicate.ID{it})
-		if err != nil {
-			return nil, err
-		}
-		if stopped {
-			res.Causes = append(res.Causes, it)
-		} else {
-			res.Spurious = append(res.Spurious, it)
-		}
-	}
-	return res, nil
-}
-
-// Auto picks Linear when the expected defective count d makes group
-// testing unattractive (d ≥ n/log₂ n) and Adaptive otherwise.
-func Auto(items []predicate.ID, expectedDefectives int, oracle Oracle, seed int64) (*Result, error) {
-	n := len(items)
-	if n > 1 && float64(expectedDefectives) >= float64(n)/math.Log2(float64(n)) {
-		return Linear(items, oracle)
-	}
-	return Adaptive(items, oracle, seed)
 }
 
 // UpperBound returns the classic adaptive group-testing bound

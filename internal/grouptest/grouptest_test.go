@@ -142,46 +142,6 @@ func TestAdaptiveProperty(t *testing.T) {
 	}
 }
 
-func TestLinear(t *testing.T) {
-	items := ids(6)
-	causal := map[predicate.ID]bool{"p002": true, "p004": true}
-	calls := 0
-	res, err := Linear(items, setOracle(causal, &calls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tests != 6 || calls != 6 {
-		t.Fatalf("linear tests = %d", res.Tests)
-	}
-	if len(res.Causes) != 2 || len(res.Spurious) != 4 {
-		t.Fatalf("result = %+v", res)
-	}
-	boom := errors.New("x")
-	if _, err := Linear(items, func([]predicate.ID) (bool, error) { return false, boom }); !errors.Is(err, boom) {
-		t.Fatal("linear error not propagated")
-	}
-}
-
-func TestAutoSwitchesStrategy(t *testing.T) {
-	items := ids(64) // n/log2(n) = 64/6 ≈ 10.7
-	// Many defectives: linear (test count = n exactly).
-	res, err := Auto(items, 12, setOracle(map[predicate.ID]bool{"p000": true}, nil), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tests != len(items) {
-		t.Fatalf("Auto with many defectives should be linear, tests = %d", res.Tests)
-	}
-	// Few defectives: adaptive (far fewer than n tests for a singleton).
-	res, err = Auto(items, 1, setOracle(map[predicate.ID]bool{"p000": true}, nil), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tests >= len(items) {
-		t.Fatalf("Auto with few defectives should group-test, tests = %d", res.Tests)
-	}
-}
-
 func TestHalvingFindsCauses(t *testing.T) {
 	items := ids(24)
 	causal := map[predicate.ID]bool{"p004": true, "p019": true}
@@ -203,58 +163,6 @@ func TestHalvingFindsCauses(t *testing.T) {
 	}
 }
 
-func TestNonAdaptiveSingleDefective(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 16, 33} {
-		items := ids(n)
-		for _, d := range []int{0, n / 2, n - 1} {
-			causal := map[predicate.ID]bool{items[d]: true}
-			calls := 0
-			res, err := NonAdaptive(items, setOracle(causal, &calls))
-			if err != nil {
-				t.Fatalf("n=%d d=%d: %v", n, d, err)
-			}
-			if len(res.Causes) != 1 || res.Causes[0] != items[d] {
-				t.Fatalf("n=%d d=%d: causes = %v", n, d, res.Causes)
-			}
-			bits := 0
-			for 1<<bits < n {
-				bits++
-			}
-			if res.Tests > bits+1 {
-				t.Fatalf("n=%d: %d tests, want <= %d", n, res.Tests, bits+1)
-			}
-		}
-	}
-}
-
-func TestNonAdaptiveNoDefectives(t *testing.T) {
-	items := ids(9)
-	res, err := NonAdaptive(items, setOracle(nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Causes) != 0 || len(res.Spurious) != 9 {
-		t.Fatalf("result = %+v", res)
-	}
-}
-
-func TestNonAdaptiveMultipleDefectivesDetected(t *testing.T) {
-	items := ids(16)
-	// Indices 3 (0011) and 12 (1100) OR to 15 — out of... in range but
-	// not defective: verification must reject.
-	causal := map[predicate.ID]bool{items[3]: true, items[12]: true}
-	if _, err := NonAdaptive(items, setOracle(causal, nil)); err == nil {
-		t.Fatal("multiple defectives decoded without error")
-	}
-}
-
-func TestNonAdaptiveEmpty(t *testing.T) {
-	res, err := NonAdaptive(nil, setOracle(nil, nil))
-	if err != nil || res.Tests != 0 {
-		t.Fatalf("empty pool: %v %+v", err, res)
-	}
-}
-
 func TestUpperBound(t *testing.T) {
 	if got := UpperBound(16, 2); got != 8 {
 		t.Fatalf("UpperBound(16,2) = %d, want 8", got)
@@ -264,114 +172,5 @@ func TestUpperBound(t *testing.T) {
 	}
 	if got := UpperBound(10, 0); got != 0 {
 		t.Fatalf("UpperBound(10,0) = %d", got)
-	}
-}
-
-// TestOracleCacheSharedAcrossStrategies checks a shared cache serves
-// repeated groups without re-executing them and without changing any
-// strategy's result or test count.
-func TestOracleCacheSharedAcrossStrategies(t *testing.T) {
-	items := ids(20)
-	causal := map[predicate.ID]bool{"p011": true}
-
-	freshAdaptive, err := Adaptive(items, setOracle(causal, nil), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshHalving, err := Halving(items, setOracle(causal, nil), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cache := NewOracleCache()
-	calls := 0
-	shared := cache.Wrap(setOracle(causal, &calls))
-	cachedAdaptive, err := Adaptive(items, shared, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedHalving, err := Halving(items, shared, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(freshAdaptive, cachedAdaptive) || !reflect.DeepEqual(freshHalving, cachedHalving) {
-		t.Fatal("cached results differ from fresh ones")
-	}
-	total := cachedAdaptive.Tests + cachedHalving.Tests
-	if calls >= total {
-		t.Fatalf("cache ineffective: %d oracle calls for %d tests", calls, total)
-	}
-}
-
-func TestOracleCacheKeyIsMembershipOnly(t *testing.T) {
-	calls := 0
-	o := NewOracleCache().Wrap(setOracle(map[predicate.ID]bool{"a": true}, &calls))
-	if _, err := o([]predicate.ID{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	stopped, err := o([]predicate.ID{"b", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stopped || calls != 1 {
-		t.Fatalf("reordered group re-executed: stopped=%v calls=%d", stopped, calls)
-	}
-}
-
-func TestNilOracleCacheWrapIsIdentity(t *testing.T) {
-	var c *OracleCache
-	calls := 0
-	o := c.Wrap(setOracle(nil, &calls))
-	if _, err := o([]predicate.ID{"a"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o([]predicate.ID{"a"}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("nil cache memoized: calls = %d", calls)
-	}
-}
-
-// TestNonAdaptiveBatchedMatchesSequential pins the batched bit-mask
-// design to the sequential one: same result, same test count, and the
-// design groups arrive as one batch (the groups are fixed in advance
-// and mutually independent, so a batch backend may replay them
-// concurrently).
-func TestNonAdaptiveBatchedMatchesSequential(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 16, 33} {
-		items := ids(n)
-		for _, d := range []int{0, n / 2, n - 1} {
-			causal := map[predicate.ID]bool{items[d]: true}
-			want, err := NonAdaptive(items, setOracle(causal, nil))
-			if err != nil {
-				t.Fatalf("n=%d d=%d: %v", n, d, err)
-			}
-			batches := 0
-			oracle := setOracle(causal, nil)
-			batch := func(groups [][]predicate.ID) ([]bool, error) {
-				batches++
-				out := make([]bool, len(groups))
-				for i, g := range groups {
-					v, err := oracle(g)
-					if err != nil {
-						return nil, err
-					}
-					out[i] = v
-				}
-				return out, nil
-			}
-			got, err := NonAdaptiveBatched(items, oracle, batch)
-			if err != nil {
-				t.Fatalf("n=%d d=%d: %v", n, d, err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("n=%d d=%d: batched = %+v, sequential = %+v", n, d, got, want)
-			}
-			if n > 1 && batches != 1 {
-				t.Fatalf("n=%d: design executed in %d batches, want 1", n, batches)
-			}
-		}
 	}
 }

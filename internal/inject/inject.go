@@ -126,13 +126,12 @@ type Executor struct {
 	// as a missed run, like a panicking one.
 	WallBudget time.Duration
 	// Workers is the pool width for replaying Seeds concurrently within
-	// one intervention round (and, for InterveneBatch, across every
-	// group of the batch); <= 0 means GOMAXPROCS. Replays are consumed
-	// in seed order, so observations are identical for any width.
+	// one intervention round; <= 0 means GOMAXPROCS. Replays are
+	// consumed in seed order, so observations are identical for any
+	// width.
 	Workers int
 	// RunsUsed counts total re-executions across rounds (for reporting).
-	// Guarded by mu: the intervention scheduler may run a speculative
-	// batch concurrently with a direct request.
+	// Guarded by mu.
 	RunsUsed int
 	// Missed counts replays that produced no observation because their
 	// (plan, seed) pair panicked, blew the wall budget, or was already
@@ -236,70 +235,42 @@ func (e *Executor) runOne(pp *sim.Prepared, group []predicate.ID, seed int64) (e
 	return pp.RunGuarded(seed, sim.Budget{MaxSteps: e.MaxSteps, WallClock: e.WallBudget})
 }
 
-// replayResult is one (group, seed) replay outcome: an execution, or a
+// replayResult is one seed's replay outcome: an execution, or a
 // missed run (quarantined now or previously).
 type replayResult struct {
 	exec   trace.Execution
 	missed bool
 }
 
-var (
-	_ core.Intervener      = (*Executor)(nil)
-	_ core.BatchIntervener = (*Executor)(nil)
-)
+var _ core.Intervener = (*Executor)(nil)
 
-// Intervene implements core.Intervener. Cancelling ctx aborts the
-// replay sweep within one task-drain and returns ctx's error.
+// Intervene implements core.Intervener: it compiles the group's plan
+// once (sim.Prepare splices the injection stubs at the instruction
+// level) and replays it under every seed across the worker pool, on
+// pooled machine state with no per-call plan application. Replays are
+// consumed in seed order, so the observations are identical for any
+// pool width. Cancelling ctx aborts the replay sweep within one
+// task-drain and returns ctx's error.
 func (e *Executor) Intervene(ctx context.Context, preds []predicate.ID) ([]core.Observation, error) {
-	out, err := e.InterveneBatch(ctx, [][]predicate.ID{preds})
+	plan, err := PlanFor(e.Corpus, preds)
 	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
-}
-
-// InterveneBatch implements core.BatchIntervener: it executes several
-// groups' replay bundles in one flattened concurrent sweep — the
-// len(groups)·len(Seeds) re-executions share a single ordered worker
-// pool, so narrow replay sets still fill every worker when the
-// scheduler batches independent groups into one logical round. Each
-// group's observations are a pure function of its forced-predicate set:
-// the result is identical to calling Intervene once per group, in
-// order, for any pool width.
-func (e *Executor) InterveneBatch(ctx context.Context, groups [][]predicate.ID) ([][]core.Observation, error) {
-	if len(groups) == 0 {
-		return nil, nil
+	pp, err := sim.Prepare(e.Prog, plan)
+	if err != nil {
+		return nil, fmt.Errorf("inject: re-execution: %w", err)
 	}
-	// Compile each group's plan once (sim.Prepare splices the injection
-	// stubs at the instruction level); the len(groups)·len(Seeds)
-	// replays then run on pooled machine state with no per-call plan
-	// application.
-	preps := make([]*sim.Prepared, len(groups))
-	for i, preds := range groups {
-		plan, err := PlanFor(e.Corpus, preds)
-		if err != nil {
-			return nil, err
-		}
-		pp, err := sim.Prepare(e.Prog, plan)
-		if err != nil {
-			return nil, fmt.Errorf("inject: re-execution: %w", err)
-		}
-		preps[i] = pp
-	}
-	// Replay every (group, seed) pair across one flat pool; par.Map
-	// returns them in (group, seed) order, so everything downstream sees
-	// the per-group sequential view. Each replay is guarded: a panic or
-	// blown wall budget quarantines the (plan, seed) pair and yields a
-	// missed run, never a round failure.
-	nSeeds := len(e.Seeds)
-	results, err := par.Map(ctx, len(groups)*nSeeds, e.Workers, func(i int) (replayResult, error) {
-		group, seed := groups[i/nSeeds], e.Seeds[i%nSeeds]
-		if e.isQuarantined(group, seed) {
+	// Each replay is guarded: a panic or blown wall budget quarantines
+	// the (plan, seed) pair and yields a missed run, never a round
+	// failure.
+	results, err := par.Map(ctx, len(e.Seeds), e.Workers, func(i int) (replayResult, error) {
+		seed := e.Seeds[i]
+		if e.isQuarantined(preds, seed) {
 			return replayResult{missed: true}, nil
 		}
-		exec, rerr := e.runOne(preps[i/nSeeds], group, seed)
+		exec, rerr := e.runOne(pp, preds, seed)
 		if rerr != nil {
-			e.addQuarantine(group, seed, rerr)
+			e.addQuarantine(preds, seed, rerr)
 			return replayResult{missed: true}, nil
 		}
 		return replayResult{exec: exec}, nil
@@ -318,33 +289,23 @@ func (e *Executor) InterveneBatch(ctx context.Context, groups [][]predicate.ID) 
 		}
 		e.extractor = x
 	}
-	out := make([][]core.Observation, len(groups))
-	for gi, preds := range groups {
-		bundle := results[gi*nSeeds : (gi+1)*nSeeds]
-		execs := e.execScratch[:0]
-		for _, r := range bundle {
-			if r.missed {
-				e.Missed++
-				continue
-			}
-			execs = append(execs, r.exec)
+	execs := e.execScratch[:0]
+	for _, r := range results {
+		if r.missed {
+			e.Missed++
+			continue
 		}
-		e.execScratch = execs
-		if len(execs) == 0 {
-			// Every replay of the group is quarantined: there is no
-			// evidence to observe, and retrying cannot produce any. The
-			// round fails (the robust layer reports it; discovery
-			// returns its partial result) rather than fabricating an
-			// outcome.
-			return nil, fmt.Errorf("inject: every replay of group %v is quarantined", preds)
-		}
-		obs, err := e.observe(execs, preds)
-		if err != nil {
-			return nil, err
-		}
-		out[gi] = obs
+		execs = append(execs, r.exec)
 	}
-	return out, nil
+	e.execScratch = execs
+	if len(execs) == 0 {
+		// Every replay of the group is quarantined: there is no
+		// evidence to observe, and retrying cannot produce any. The
+		// round fails (the robust layer reports it; discovery returns
+		// its partial result) rather than fabricating an outcome.
+		return nil, fmt.Errorf("inject: every replay of group %v is quarantined", preds)
+	}
+	return e.observe(execs, preds)
 }
 
 // watch is one SD-corpus predicate interned against the replay corpus:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"aid/internal/core"
@@ -260,12 +259,13 @@ func TestExecutorUnknownPredicate(t *testing.T) {
 	}
 }
 
-// TestExecutorBatchMatchesSequential pins InterveneBatch to the
-// per-group contract: a batch of groups produces exactly the
-// observations sequential Intervene calls would, for any pool width,
-// with the flattened replays accounted identically.
-func TestExecutorBatchMatchesSequential(t *testing.T) {
+// TestExecutorWorkersMatchSequential pins Intervene's pool contract:
+// replaying a group's seeds across a wide pool produces exactly the
+// observations a single worker does, with replays accounted
+// identically.
+func TestExecutorWorkersMatchSequential(t *testing.T) {
 	_, corpus, exec := executorFixture(t)
+	exec.Workers = 1
 	groups := [][]predicate.ID{
 		{"ret:Check#0"},
 		{"slow:Slow#0"},
@@ -284,71 +284,18 @@ func TestExecutorBatchMatchesSequential(t *testing.T) {
 		}
 		want = append(want, obs)
 	}
-	for _, workers := range []int{1, 8} {
-		_, _, batchExec := executorFixture(t)
-		batchExec.Workers = workers
-		got, err := batchExec.InterveneBatch(context.Background(), groups)
+	_, _, wide := executorFixture(t)
+	wide.Workers = 8
+	for i, g := range groups {
+		got, err := wide.Intervene(context.Background(), g)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: batch observations differ from sequential", workers)
-		}
-		if batchExec.RunsUsed != exec.RunsUsed {
-			t.Fatalf("workers=%d: RunsUsed = %d, want %d", workers, batchExec.RunsUsed, exec.RunsUsed)
+		if !reflect.DeepEqual(want[i], got) {
+			t.Fatalf("group %v: observations differ between 1 and 8 workers", g)
 		}
 	}
-}
-
-// TestExecutorConcurrentBatches exercises the executor under the
-// scheduler's concurrency pattern — a direct request racing a
-// speculative batch — and checks both see consistent observations
-// (run with -race).
-func TestExecutorConcurrentBatches(t *testing.T) {
-	_, _, exec := executorFixture(t)
-	exec.Workers = 4
-	var wg sync.WaitGroup
-	results := make([][][]core.Observation, 2)
-	errs := make([]error, 2)
-	jobs := [][][]predicate.ID{
-		{{"ret:Check#0"}},
-		{{"slow:Slow#0"}, {"ret:Check#0", "slow:Slow#0"}},
-	}
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = exec.InterveneBatch(context.Background(), jobs[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	_, _, ref := executorFixture(t)
-	for i, job := range jobs {
-		for j, g := range job {
-			obs, err := ref.Intervene(context.Background(), g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(obs, results[i][j]) {
-				t.Fatalf("job %d group %d: concurrent observations diverge", i, j)
-			}
-		}
-	}
-	if exec.RunsUsed != ref.RunsUsed {
-		t.Fatalf("RunsUsed = %d concurrent vs %d sequential for the same 3 groups", exec.RunsUsed, ref.RunsUsed)
-	}
-}
-
-// TestExecutorBatchEmpty covers the no-op batch.
-func TestExecutorBatchEmpty(t *testing.T) {
-	_, _, exec := executorFixture(t)
-	out, err := exec.InterveneBatch(context.Background(), nil)
-	if err != nil || out != nil {
-		t.Fatalf("empty batch: %v %v", out, err)
+	if wide.RunsUsed != exec.RunsUsed {
+		t.Fatalf("RunsUsed = %d, want %d", wide.RunsUsed, exec.RunsUsed)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 
-	"aid/internal/arena"
 	"aid/internal/trace"
 )
 
@@ -426,23 +425,24 @@ type accessWindow struct {
 // raceScratch holds extractRaces's reusable buffers. A one-shot
 // extraction builds a fresh set; an Extractor keeps one across rounds
 // so steady-state replay extraction reuses the maps, the bucket
-// backings, and the arena slabs behind the per-window locksets (the
-// lock pool is rewound wholesale at the start of each pass — the
-// slices never outlive it).
+// backings, and the buffer behind the per-window locksets.
 type raceScratch struct {
 	winIdx    map[trace.ObjectID]int
 	wins      []accessWindow
 	bucketIdx map[trace.ObjectID]int
 	buckets   [][]accessWindow
 	objs      []trace.ObjectID
-	locks     *arena.Pool[string]
+	// locks backs every window's lockset: each window takes a
+	// capacity-capped sub-slice, so in-place intersection never
+	// reaches a neighbor. It is rewound per execution, because windows
+	// never outlive their execution's buckets.
+	locks []string
 }
 
 func newRaceScratch() *raceScratch {
 	return &raceScratch{
 		winIdx:    make(map[trace.ObjectID]int),
 		bucketIdx: make(map[trace.ObjectID]int),
-		locks:     arena.NewPool[string](256),
 	}
 }
 
@@ -458,19 +458,20 @@ func extractRaces(execs []trace.Execution, off int, c *Corpus, sc *raceScratch) 
 	if sc == nil {
 		sc = newRaceScratch()
 	}
-	sc.locks.Reset()
 	winIdx := sc.winIdx
 	wins := sc.wins
 	bucketIdx := sc.bucketIdx
 	buckets := sc.buckets
 	objs := sc.objs
+	locks := sc.locks
 	defer func() {
-		sc.wins, sc.buckets, sc.objs = wins, buckets, objs
+		sc.wins, sc.buckets, sc.objs, sc.locks = wins, buckets, objs, locks
 	}()
 	for i := range execs {
 		e := &execs[i]
 		row := off + i
 		objs = objs[:0]
+		locks = locks[:0]
 		for j := range e.Calls {
 			call := &e.Calls[j]
 			clear(winIdx)
@@ -481,9 +482,11 @@ func extractRaces(execs []trace.Execution, off int, c *Corpus, sc *raceScratch) 
 				if !ok {
 					wi = len(wins)
 					winIdx[acc.Object] = wi
+					n := len(locks)
+					locks = append(locks, acc.Locks...)
 					wins = append(wins, accessWindow{
 						call: call, start: acc.At, end: acc.At,
-						locks: sc.locks.Clone(acc.Locks),
+						locks: locks[n:len(locks):len(locks)],
 					})
 				} else {
 					w := &wins[wi]
@@ -573,7 +576,7 @@ func extractRaces(execs []trace.Execution, off int, c *Corpus, sc *raceScratch) 
 }
 
 // intersectInPlace filters a down to the elements also present in b,
-// reusing a's backing (a is always pool-owned scratch here).
+// reusing a's backing (a is always raceScratch-owned here).
 func intersectInPlace(a, b []string) []string {
 	n := 0
 	for _, x := range a {

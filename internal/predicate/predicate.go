@@ -744,9 +744,9 @@ func (c *Corpus) MaterializeCompoundFrom(p Predicate, from int) {
 
 // GroupKey returns the canonical membership key of a predicate group:
 // IDs sorted and NUL-joined, insensitive to order and duplicates-free
-// only if the input is. It is the cache key shared by the intervention
-// scheduler (core) and the group-testing oracle cache (grouptest) —
-// one implementation so the two layers can never diverge. Singleton
+// only if the input is. It keys the intervention scheduler's outcome
+// cache (core) and the replay quarantine (inject) — one implementation
+// so the two layers can never diverge. Singleton
 // groups (the bulk of confirmation rounds) skip the sort and join.
 func GroupKey(ids []ID) string {
 	if len(ids) == 1 {

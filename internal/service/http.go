@@ -9,6 +9,11 @@ import (
 	"strconv"
 )
 
+// maxSessionSpecBytes caps a session-start body. A SessionSpec is a
+// handful of short fields, so the cap is far above any real spec and
+// far below what could pressure the daemon's memory.
+const maxSessionSpecBytes = 64 << 10
+
 // NewHandler builds the daemon's HTTP API over a manager. The surface
 // is JSON everywhere, JSON *lines* on the two streaming-shaped
 // endpoints (corpus ingest bodies and event streams), mirroring the
@@ -30,7 +35,8 @@ import (
 // manager speaks typed errors: SaturatedError → 429 with Retry-After,
 // DrainingError → 503, NotFoundError/unknown session → 404,
 // UnknownStudyError and ValidationError → 400, an ingest body over the
-// configured cap → 413. Untyped errors are server faults → 500.
+// configured cap or a session spec over maxSessionSpecBytes → 413.
+// Untyped errors are server faults → 500.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
@@ -76,7 +82,9 @@ func NewHandler(m *Manager) http.Handler {
 
 	mux.HandleFunc("POST /v1/tenants/{tenant}/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var spec SessionSpec
-		dec := json.NewDecoder(r.Body)
+		// Overflow surfaces as http.MaxBytesError inside the decode
+		// failure and maps to 413, like an oversized corpus.
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSessionSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			writeError(w, m, validationf("service: bad session spec: %w", err))

@@ -306,6 +306,16 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown spec field: HTTP %d, want 400", resp.StatusCode)
 	}
+	// An oversized spec is refused with 413, not decoded into memory.
+	big := `{"study":"` + strings.Repeat("x", 1<<17) + `"}`
+	resp, err = http.Post(srv.URL+"/v1/tenants/acme/sessions", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec: HTTP %d, want 413", resp.StatusCode)
+	}
 
 	// Cancel flow: a running session turns cancelled, its report 409s.
 	src := newBlockingSource()

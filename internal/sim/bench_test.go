@@ -43,7 +43,7 @@ func BenchmarkRunInjected(b *testing.B) {
 }
 
 // BenchmarkRunInjectedPrepared amortizes the plan splicing over the
-// whole sweep, as inject.Executor.InterveneBatch does.
+// whole sweep, as inject.Executor.Intervene does.
 func BenchmarkRunInjectedPrepared(b *testing.B) {
 	p := racyProgram()
 	plan := Plan{"Worker": {GlobalLocks: []string{"inj"}, DelayStart: 3}}

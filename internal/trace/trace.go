@@ -8,8 +8,7 @@
 // evaluated offline against these traces (see package predicate).
 //
 // Times are logical ticks of the global scheduler clock (package sim),
-// which plays the role of the paper's computer clock; a Lamport clock is
-// also provided for settings where a total tick order is unavailable.
+// which plays the role of the paper's computer clock.
 package trace
 
 import (
@@ -294,34 +293,4 @@ func (s *Set) Counts() (succ, fail int) {
 		}
 	}
 	return succ, fail
-}
-
-// FilterSignature keeps failures matching sig (and all successes),
-// implementing the paper's grouping of failures by failure signature so
-// each group has a single root cause.
-func (s *Set) FilterSignature(sig string) *Set {
-	out := &Set{}
-	for i := range s.Executions {
-		e := s.Executions[i]
-		if !e.Failed() || e.FailureSig == sig {
-			out.Executions = append(out.Executions, e)
-		}
-	}
-	return out
-}
-
-// Signatures returns the distinct failure signatures present, sorted.
-func (s *Set) Signatures() []string {
-	set := make(map[string]bool)
-	for i := range s.Executions {
-		if s.Executions[i].Failed() {
-			set[s.Executions[i].FailureSig] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for sig := range set {
-		out = append(out, sig)
-	}
-	sort.Strings(out)
-	return out
 }

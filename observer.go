@@ -164,15 +164,12 @@ type RoundDone struct {
 	// Round is the round's log entry.
 	Round Round
 	// Batch is the scheduler execution batch that produced the round's
-	// outcome; rounds sharing a batch had their replay bundles executed
-	// concurrently as one logical round.
+	// outcome; a cache hit carries the batch that first executed the
+	// group.
 	Batch int
 	// CacheHit reports the outcome was served from the scheduler's memo
-	// cache (or an in-flight prefetch) without starting new replays.
+	// cache without starting new replays.
 	CacheHit bool
-	// Speculative reports the outcome was produced by a
-	// continuation-hint prefetch rather than a direct request.
-	Speculative bool
 	// Trials and Retries report the adaptive trial oracle's cost for
 	// the round (zero outside noise-tolerant mode; see
 	// WithNoiseTolerance).

@@ -140,11 +140,8 @@ type ReportRound struct {
 }
 
 // Detach returns a deep copy of the report that shares no slice
-// storage with the original — the one copy out of pooled construction
-// arenas. Pipeline.Run builds its report in per-run pooled storage and
-// returns the detached copy, so reports handed to callers are always
-// stable; callers that carve reports from their own reused buffers use
-// Detach as the same boundary. Nil-ness of every slice is preserved,
+// storage with the original, so a cache can hand out copies that no
+// caller's mutation can reach. Nil-ness of every slice is preserved,
 // so the detached report's JSON is byte-identical to the original's.
 // The unserialized Result pointer is shared, not copied: discovery
 // results are immutable once returned.

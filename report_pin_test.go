@@ -15,7 +15,7 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/reports goldens
 
 // TestCaseStudyReportGoldens pins the full JSON report of every case
 // study, byte for byte, against goldens captured from the PR 9 tree.
-// The memory-discipline work (arenas, overlay corpus reuse, scratch
+// The memory-discipline work (overlay corpus reuse, scratch
 // kernels) must be invisible in the output: any drift here means an
 // optimization changed behavior, not just allocation counts.
 //
@@ -70,11 +70,11 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-// TestDetachedReportStableAcrossRuns pins the arena aliasing contract:
-// a report returned by Run is fully detached from the pooled
-// construction arena, so its bytes cannot change no matter how many
-// later runs reuse the same slabs. A missing Detach (or a slice that
-// escapes the copy) shows up here as a mutated early report.
+// TestDetachedReportStableAcrossRuns pins the aliasing contract: a
+// report returned by Run shares no storage with any later run, so its
+// bytes cannot change no matter how many runs follow on the same
+// Pipeline. A slice carved from reused scratch (instead of owned by the
+// report) shows up here as a mutated early report.
 func TestDetachedReportStableAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run aliasing sweep")
@@ -90,7 +90,7 @@ func TestDetachedReportStableAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hammer the pooled arena with differently-shaped reports.
+	// Follow with differently-shaped reports.
 	for round := 0; round < 2; round++ {
 		for _, s := range studies[1:] {
 			if _, err := p.Run(ctx, aid.FromStudy(s)); err != nil {
