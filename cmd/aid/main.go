@@ -10,7 +10,6 @@
 // Usage:
 //
 //	aid -case npgsql [-successes 50] [-failures 50] [-seed 1] [-rounds] [-effects] [-dot] [-json]
-//	aid -case npgsql -stream            # rank as the corpus ingests (live Ranked progress)
 //	aid -case npgsql -sd -top 20        # SD ranking table, top 20 rows
 //	aid -case npgsql -save-traces corpus.jsonl
 //	aid -case npgsql -load-traces corpus.jsonl
@@ -49,7 +48,6 @@ func main() {
 		variant    = flag.String("variant", "aid", "algorithm variant: aid, aid-p, aid-p-b")
 		compounds  = flag.Int("compounds", 0, "max compound (conjunction) predicates to materialize")
 		rounds     = flag.Bool("rounds", false, "stream the intervention round log as it happens")
-		stream     = flag.Bool("stream", false, "rank as the corpus ingests: stream extraction row by row with live Ranked progress")
 		effects    = flag.Bool("effects", false, "static effect analysis: derive side-effect-free methods and prune predicates from provably-pure regions")
 		top        = flag.Int("top", 40, "rows of the -sd ranking table to print (0 = all)")
 		dot        = flag.Bool("dot", false, "print the AC-DAG in Graphviz format and exit")
@@ -83,18 +81,14 @@ func main() {
 	if *effects {
 		opts = append(opts, aid.WithEffectAnalysis(true))
 	}
-	// The -rounds, -stream and -effects logs are observers over the
-	// pipeline's event stream.
-	if *rounds || *stream || *effects {
-		wantRounds, wantStream, wantEffects := *rounds, *stream, *effects
+	// The -rounds and -effects logs are observers over the pipeline's
+	// event stream.
+	if *rounds || *effects {
+		wantRounds, wantEffects := *rounds, *effects
 		opts = append(opts, aid.WithObserver(aid.ObserverFunc(func(e aid.Event) {
-			switch ev := e.(type) {
+			switch e.(type) {
 			case aid.RoundDone, aid.CauseConfirmed:
 				if wantRounds {
-					fmt.Fprintln(os.Stderr, e)
-				}
-			case aid.Ranked:
-				if wantStream && ev.RowsTotal > 0 {
 					fmt.Fprintln(os.Stderr, e)
 				}
 			case aid.EffectsAnalyzed:
@@ -103,9 +97,6 @@ func main() {
 				}
 			}
 		})))
-	}
-	if *stream {
-		opts = append(opts, aid.WithStreamingExtract(true))
 	}
 	pipeline := aid.New(opts...)
 

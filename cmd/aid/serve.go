@@ -39,7 +39,7 @@ func runServe(args []string) {
 		data         = fs.String("data", "", "corpus data directory (JSON-lines files); empty = in-memory only")
 		budget       = fs.Int("budget", 4, "global concurrent-session weight budget")
 		tenantCap    = fs.Int("tenant-cap", 8, "max queued+running sessions per tenant before 429")
-		timeout      = fs.Duration("session-timeout", 5*time.Minute, "default per-session lifetime cap")
+		timeout      = fs.Duration("session-timeout", 5*time.Minute, "per-session lifetime cap; a spec's timeoutMs can only shorten it")
 		retryAfter   = fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight sessions on shutdown")
 		retain       = fs.Int("retain-sessions", 256, "terminal sessions retained for status/report queries")

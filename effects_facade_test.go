@@ -146,18 +146,3 @@ func TestEffectPruningDemo(t *testing.T) {
 			on.AIDInterventions, off.AIDInterventions)
 	}
 }
-
-// TestEffectPruningStreamingMatchesBatch: the streaming extraction path
-// applies the same pruning, so streaming and batch runs with the
-// analysis on produce byte-identical reports.
-func TestEffectPruningStreamingMatchesBatch(t *testing.T) {
-	batch, _ := runWithEffects(t, aid.FromProgram(effects.PruningDemo(4, 6)), true)
-	stream, ea := runWithEffects(t, aid.FromProgram(effects.PruningDemo(4, 6)), true,
-		aid.WithStreamingExtract(true))
-	if !bytes.Equal(reportJSON(t, batch), reportJSON(t, stream)) {
-		t.Error("streaming report differs from batch with effect analysis on")
-	}
-	if ea.Pruned == 0 {
-		t.Error("streaming path pruned nothing")
-	}
-}

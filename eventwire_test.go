@@ -8,26 +8,28 @@ import (
 	"aid"
 )
 
+// wireEvents holds one value of every event type.
+var wireEvents = []aid.Event{
+	aid.CollectProgress{Successes: 3, Failures: 2, SeedsSwept: 4096},
+	aid.TracesCollected{Source: "npgsql", Successes: 50, Failures: 50},
+	aid.EffectsAnalyzed{Functions: 13, SideEffectFree: 10, Prunable: 8, Pruned: 6, Contradicted: 1},
+	aid.PredicatesExtracted{Total: 123},
+	aid.Ranked{FullyDiscriminative: 7},
+	aid.DAGBuilt{Nodes: 9, Unsafe: 2},
+	aid.RoundDone{Index: 4, Round: aid.Round{Phase: "branch", Intervened: []aid.PredicateID{"p1", "p2"}, Stopped: true, Confirmed: "p1"}, Batch: 2, CacheHit: true, Trials: 6, Confidence: 0.97},
+	aid.ContradictionDetected{Stopped: []aid.PredicateID{"a"}, Persisted: []aid.PredicateID{"a", "b"}, Resolved: true},
+	aid.SchedulerUsage{Requests: 12, CacheHits: 5, Executions: 7},
+	aid.CauseConfirmed{ID: "p1"},
+	aid.DiscoveryDone{RootCause: "p1", PathLen: 3, Interventions: 11},
+	aid.StateRecovered{Corpora: 2, Memos: 3, MemoEntries: 17, RecordsKept: 5, RecordsDropped: 1, Invalidated: 1},
+}
+
 // TestEventWireRoundTrip round-trips every event type through the JSON
 // envelope codec: the decoded value must be the same concrete type with
 // the same fields — and therefore the same String rendering — so a
 // daemon client sees exactly what an embedded observer would.
 func TestEventWireRoundTrip(t *testing.T) {
-	events := []aid.Event{
-		aid.CollectProgress{Successes: 3, Failures: 2, SeedsSwept: 4096},
-		aid.TracesCollected{Source: "npgsql", Successes: 50, Failures: 50},
-		aid.EffectsAnalyzed{Functions: 13, SideEffectFree: 10, Prunable: 8, Pruned: 6, Contradicted: 1},
-		aid.PredicatesExtracted{Total: 123},
-		aid.Ranked{FullyDiscriminative: 7, RowsIngested: 40, RowsTotal: 100},
-		aid.DAGBuilt{Nodes: 9, Unsafe: 2},
-		aid.RoundDone{Index: 4, Round: aid.Round{Phase: "branch", Intervened: []aid.PredicateID{"p1", "p2"}, Stopped: true, Confirmed: "p1"}, Batch: 2, CacheHit: true, Trials: 6, Confidence: 0.97},
-		aid.ContradictionDetected{Stopped: []aid.PredicateID{"a"}, Persisted: []aid.PredicateID{"a", "b"}, Resolved: true},
-		aid.SchedulerUsage{Requests: 12, CacheHits: 5, Executions: 7},
-		aid.CauseConfirmed{ID: "p1"},
-		aid.DiscoveryDone{RootCause: "p1", PathLen: 3, Interventions: 11},
-		aid.StateRecovered{Corpora: 2, Memos: 3, MemoEntries: 17, RecordsKept: 5, RecordsDropped: 1, Invalidated: 1},
-	}
-	for _, want := range events {
+	for _, want := range wireEvents {
 		line, err := aid.MarshalEvent(want)
 		if err != nil {
 			t.Fatalf("MarshalEvent(%T): %v", want, err)
@@ -74,4 +76,42 @@ func TestEventWireForwardCompat(t *testing.T) {
 	if cc, ok := got.(aid.CauseConfirmed); !ok || cc.ID != "px" {
 		t.Errorf("got %#v", got)
 	}
+}
+
+// legacyRanked is a ranked event as older producers wrote it, with the
+// row-progress fields the event no longer has.
+const legacyRanked = `{"type":"ranked","event":{"FullyDiscriminative":7,"RowsIngested":40,"RowsTotal":100}}`
+
+// FuzzUnmarshalEvent: arbitrary bytes never panic the decoder, and any
+// event it accepts re-marshals and decodes back to the same value.
+func FuzzUnmarshalEvent(f *testing.F) {
+	for _, e := range wireEvents {
+		line, err := aid.MarshalEvent(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	got, err := aid.UnmarshalEvent([]byte(legacyRanked))
+	if err != nil || !reflect.DeepEqual(got, aid.Ranked{FullyDiscriminative: 7}) {
+		f.Fatalf("legacy ranked line decoded to %#v, %v", got, err)
+	}
+	f.Add([]byte(legacyRanked))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := aid.UnmarshalEvent(data)
+		if err != nil {
+			return
+		}
+		line, err := aid.MarshalEvent(e)
+		if err != nil {
+			t.Fatalf("decoded %#v does not re-marshal: %v", e, err)
+		}
+		again, err := aid.UnmarshalEvent(line)
+		if err != nil {
+			t.Fatalf("re-marshalled %q does not decode: %v", line, err)
+		}
+		if !reflect.DeepEqual(again, e) {
+			t.Fatalf("round trip changed the event:\n got %#v\nwant %#v", again, e)
+		}
+	})
 }

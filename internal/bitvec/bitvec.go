@@ -64,17 +64,6 @@ func (v Vec) Clone() Vec {
 	return out
 }
 
-// CloneCap returns an independent copy with capacity for n elements.
-func (v Vec) CloneCap(n int) Vec {
-	w := (n + 63) / 64
-	if w < len(v) {
-		w = len(v)
-	}
-	out := make(Vec, w)
-	copy(out, v)
-	return out
-}
-
 // OrWith unions o into v; o must not be longer than v.
 func (v Vec) OrWith(o Vec) {
 	for w := range o {
@@ -186,8 +175,8 @@ func (v Vec) IntersectsExcept(o Vec, i, j int) bool {
 }
 
 // ClearFrom removes every element >= n, truncating a reused vector
-// back to a prefix without reallocating — the epoch-reset primitive
-// for overlay bitmaps that grow past a sealed baseline and rewind.
+// back to a prefix without reallocating — the rewind primitive for
+// bitmaps that grow past a sealed baseline between rounds.
 func (v Vec) ClearFrom(n int) {
 	w := n >> 6
 	if w >= len(v) {

@@ -343,8 +343,8 @@ func (e *Executor) observe(execs []trace.Execution, preds []predicate.ID) ([]cor
 	// not by extraction; mirror the corpus's compounds so they stay
 	// observable in intervened runs (a compound occurs iff all its
 	// members do). Only the replay rows are filled: the baseline rows
-	// are shared with the extractor's cached template and must stay
-	// unwritten (observations below read replay rows only).
+	// are the extractor's sealed prefix, shared by every round, and must
+	// stay unwritten (observations below read replay rows only).
 	for i := range e.Corpus.Preds {
 		p := &e.Corpus.Preds[i]
 		if p.Kind == predicate.KindCompound {

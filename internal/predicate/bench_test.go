@@ -64,84 +64,30 @@ func BenchmarkExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractRaces isolates the race detector on overlap-heavy
-// traces.
+// BenchmarkExtractRaces measures extraction over overlap-heavy
+// traces, where the race detector dominates.
 func BenchmarkExtractRaces(b *testing.B) {
 	set := benchSet(20, 60)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := NewCorpus()
-		for j := range set.Executions {
-			e := &set.Executions[j]
-			c.AddRow(e.ID, e.Failed())
-		}
-		extractRaces(set.Executions, 0, c, nil)
-	}
-}
-
-// BenchmarkExtractStream measures the per-row streaming ingest against
-// the batch path's corpus (same predicates and counts).
-func BenchmarkExtractStream(b *testing.B) {
-	set := benchSet(40, 30)
 	cfg := Config{DurationMargin: 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := ExtractStream(set, cfg, nil)
-		if c.NumPreds() == 0 {
+		if c := Extract(set, cfg); len(c.Preds) == 0 {
 			b.Fatal("no predicates extracted")
 		}
 	}
 }
 
-// BenchmarkExtractorRounds measures cached re-extraction: one baseline
-// scan, then repeated replay-only rounds (the intervention-replay
-// pattern).
-func BenchmarkExtractorRounds(b *testing.B) {
-	set := benchSet(40, 30)
-	var baselines, replays []trace.Execution
-	for _, e := range set.Executions {
-		if e.Failed() {
-			replays = append(replays, e)
-		} else {
-			baselines = append(baselines, e)
-		}
-	}
-	cfg := Config{DurationMargin: 4}
-	x, err := NewExtractor(baselines, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := x.Extract(replays)
-		if len(c.Preds) == 0 {
-			b.Fatal("no predicates extracted")
-		}
-	}
-}
-
-// BenchmarkExtractorReplayRounds measures the overlay-reusing
+// BenchmarkExtractorReplayRounds measures the corpus-reusing
 // steady-state path: after the first round the per-round allocation
 // count should be near zero.
 func BenchmarkExtractorReplayRounds(b *testing.B) {
-	set := benchSet(40, 30)
-	var baselines, replays []trace.Execution
-	for _, e := range set.Executions {
-		if e.Failed() {
-			replays = append(replays, e)
-		} else {
-			baselines = append(baselines, e)
-		}
-	}
-	cfg := Config{DurationMargin: 4}
-	x, err := NewExtractor(baselines, cfg)
+	baselines, replays := splitBench(40, 30)
+	x, err := NewExtractor(baselines, Config{DurationMargin: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	x.ExtractReplays(replays) // warm the overlay
+	x.ExtractReplays(replays) // warm the replay corpus
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -16,10 +16,6 @@ type Config struct {
 	// method is safe for those interventions; timing and locking
 	// interventions are always safe.
 	SideEffectFree func(method string) bool
-	// MaxOrderPairs caps the number of order-violation predicates
-	// (0 = unlimited). Order predicates are quadratic in the number of
-	// method instances; the cap keeps pathological corpora tractable.
-	MaxOrderPairs int
 	// DurationMargin is the significance threshold for duration
 	// predicates: a call is "too slow" only when it exceeds the success
 	// maximum by more than the margin (and "too fast" symmetrically).
@@ -31,11 +27,6 @@ type Config struct {
 	// methods cannot host a root cause and are dropped before ranking
 	// (Corpus.DropPure). Nil disables effect-guided pruning.
 	PureMethods func(method string) bool
-	// keepUnobserved, when set, retains predicates with no occurrences
-	// in any row. By default Extract compacts them away with
-	// Corpus.DropUnobserved; only tests that inspect the raw vocabulary
-	// set this.
-	keepUnobserved bool
 }
 
 func (c Config) sideEffectFree(m string) bool {
@@ -50,10 +41,10 @@ type instKey struct {
 
 func (k instKey) String() string { return k.m + "#" + strconv.Itoa(k.inst) }
 
-// callIDs holds the five predicate IDs extractPerCall can emit for one
-// method instance. Extraction passes share a cache keyed by instKey so
-// each ID string is concatenated once per distinct instance — in the
-// intervention loop (Extractor), once per discovery, not per round.
+// callIDs holds the five predicate IDs perCall can emit for one method
+// instance. The engine caches them by instKey so each ID string is
+// concatenated once per distinct instance — in the intervention loop
+// (Extractor), once per discovery, not per round.
 type callIDs struct {
 	fails, slow, fast, late, ret ID
 }
@@ -89,156 +80,88 @@ type succStats struct {
 // and returns the predicate logs. It mirrors the paper's offline
 // predicate-extraction phase: success baselines are learned from the
 // successful executions, then every execution is scanned for
-// deviations.
+// deviations, one row at a time. Predicates register in order of
+// first occurrence.
 //
 // When the same success baselines are reused against changing failure
 // replays round after round (intervention replay), use an Extractor
-// instead: it caches all baseline-derived state.
+// instead: it runs the same engine but scans the baselines only once.
 func Extract(s *trace.Set, cfg Config) *Corpus {
+	en := newEngine(s.Successes(), cfg)
 	c := NewCorpus()
-	for i := range s.Executions {
-		e := &s.Executions[i]
-		c.AddRow(e.ID, e.Failed())
-	}
-
-	succs := s.Successes()
-	stats := successBaselines(succs)
-
 	c.AddPred(FailurePredicate())
-	stampFailures(s.Executions, 0, c)
-	extractPerCall(s.Executions, 0, c, stats, cfg, make(map[instKey]callIDs))
-	extractRaces(s.Executions, 0, c, nil)
-	if ost, succRows := buildOrderState(succs, stats); ost != nil {
-		rows := make([][]*trace.MethodCall, len(s.Executions))
-		si := 0
-		for i := range s.Executions {
-			if s.Executions[i].Outcome == trace.Success {
-				rows[i] = succRows[si] // already indexed by buildOrderState
-				si++
-			} else {
-				rows[i] = callRow(&s.Executions[i], ost.keyIdx, len(ost.keys))
-			}
-		}
-		emitOrderViolations(c, ost, rows, cfg)
+	for i := range s.Executions {
+		en.addRow(c, &s.Executions[i])
 	}
-	emitAtomicityViolations(s.Executions, 0, c, buildAtomState(succs), nil)
-
 	c.DropPure(cfg.PureMethods)
-	if !cfg.keepUnobserved {
-		c.DropUnobserved()
-	}
+	c.DropUnobserved()
 	return c
 }
 
-// ExtractStream evaluates the same predicate vocabulary as Extract but
-// ingests the corpus one execution row at a time, invoking onRow after
-// each row lands — the streaming path behind rank-as-you-ingest: the
-// corpus maintains per-predicate counts incrementally, so the callback
-// can read live statistical-debugging scores in O(predicates).
-//
-// The resulting corpus is analytically identical to Extract's (same
-// predicates, occurrences, and counts); only the predicate registration
-// order differs (first-occurrence order instead of phase order), which
-// no downstream consumer observes — scores, candidate sets, and the
-// AC-DAG all sort by ID. One caveat: with MaxOrderPairs > 0 the cap
-// keeps the first N flipped pairs in stream order rather than baseline
-// pair order.
-func ExtractStream(s *trace.Set, cfg Config, onRow func(row int, c *Corpus)) *Corpus {
-	c := NewCorpus()
-	succs := s.Successes()
-	stats := successBaselines(succs)
-	c.AddPred(FailurePredicate())
-	ost, succRows := buildOrderState(succs, stats)
-	atom := buildAtomState(succs)
-
-	// Candidate order pairs (baseline-ordered, conflicting) and their
-	// lazily assigned handles.
-	var pairs [][2]int
-	var pairHandle []Handle
-	if ost != nil {
-		nk := len(ost.keys)
-		for ai := 0; ai < nk; ai++ {
-			for bi := 0; bi < nk; bi++ {
-				if ai != bi && ost.ordered[ai*nk+bi] && conflicting(ost.profiles[ai], ost.profiles[bi]) {
-					pairs = append(pairs, [2]int{ai, bi})
-				}
-			}
-		}
-		pairHandle = make([]Handle, len(pairs))
-		for i := range pairHandle {
-			pairHandle[i] = NoHandle
-		}
-	}
-	orderEmitted := 0
-
-	ids := make(map[instKey]callIDs)
-	raceSc := newRaceScratch()
-	atomSc := newAtomScratch()
-	si := 0
-	for i := range s.Executions {
-		e := &s.Executions[i]
-		row := c.AddRow(e.ID, e.Failed())
-		one := s.Executions[i : i+1]
-		stampFailures(one, row, c)
-		extractPerCall(one, row, c, stats, cfg, ids)
-		extractRaces(one, row, c, raceSc)
-		if ost != nil {
-			var cr []*trace.MethodCall
-			if e.Outcome == trace.Success {
-				cr = succRows[si]
-				si++
-			} else {
-				cr = callRow(e, ost.keyIdx, len(ost.keys))
-			}
-			for pi, pr := range pairs {
-				a, b := cr[pr[0]], cr[pr[1]]
-				if a == nil || b == nil || a.End <= b.Start {
-					continue
-				}
-				h := pairHandle[pi]
-				if h == NoHandle {
-					if cfg.MaxOrderPairs > 0 && orderEmitted >= cfg.MaxOrderPairs {
-						continue
-					}
-					h = c.AddPred(orderPredicate(ost.keys[pr[0]], ost.keys[pr[1]]))
-					pairHandle[pi] = h
-					orderEmitted++
-				}
-				c.SetOcc(row, h, Occurrence{Start: b.Start, End: a.End, Thread: NoThread})
-			}
-		}
-		emitAtomicityViolations(one, row, c, atom, atomSc)
-		if onRow != nil {
-			onRow(row, c)
-		}
-	}
-	c.DropPure(cfg.PureMethods)
-	if !cfg.keepUnobserved {
-		c.DropUnobserved()
-	}
-	return c
+// engine is the one predicate-extraction path. It holds the state
+// derived from the successful executions — per-instance baselines, the
+// order baseline with its candidate pairs, the atomicity candidates —
+// plus reusable scratch, and evaluates the vocabulary one execution
+// row at a time (addRow). Extract runs it over a whole corpus; an
+// Extractor runs it over the baselines once, then over each round's
+// replays. An engine is single-threaded.
+type engine struct {
+	cfg   Config
+	stats map[instKey]*succStats
+	order *orderState // nil when no order predicate can exist
+	atom  *atomState
+	// ids interns the per-instance predicate ID strings.
+	ids    map[instKey]callIDs
+	race   *raceScratch
+	atomSc *atomScratch
 }
 
-// stampFailures records the failure predicate F in every failed
-// execution's log; execs[k] corresponds to row off+k.
-func stampFailures(execs []trace.Execution, off int, c *Corpus) {
+func newEngine(succs []*trace.Execution, cfg Config) *engine {
+	stats := successBaselines(succs)
+	return &engine{
+		cfg:    cfg,
+		stats:  stats,
+		order:  buildOrderState(succs, stats),
+		atom:   buildAtomState(succs),
+		ids:    make(map[instKey]callIDs),
+		race:   newRaceScratch(),
+		atomSc: newAtomScratch(),
+	}
+}
+
+// addRow appends e as the next row of c and records every predicate
+// occurring in it, registering each predicate on its first occurrence.
+// c must already hold the failure predicate F.
+func (en *engine) addRow(c *Corpus, e *trace.Execution) {
+	row := c.AddRow(e.ID, e.Failed())
+	en.perCall(c, row, e)
+	en.races(c, row, e)
+	if !e.Failed() {
+		// The successes define the order and atomicity baselines, so
+		// they can violate neither; nor do they carry F.
+		return
+	}
+	stampFailure(c, row, e)
+	en.orderFlips(c, row, e)
+	en.atomicity(c, row, e)
+}
+
+// stampFailure records the failure predicate F in a failed row.
+func stampFailure(c *Corpus, row int, e *trace.Execution) {
+	if len(e.Calls) == 0 {
+		return
+	}
 	fh, _ := c.HandleOf(FailureID)
-	for i := range execs {
-		e := &execs[i]
-		if !e.Failed() || len(e.Calls) == 0 {
-			continue
+	var end trace.Time
+	for j := range e.Calls {
+		if e.Calls[j].End > end {
+			end = e.Calls[j].End
 		}
-		var end trace.Time
-		for j := range e.Calls {
-			if e.Calls[j].End > end {
-				end = e.Calls[j].End
-			}
-		}
-		// F is stamped strictly after the last event: the failure
-		// manifests once everything observed has happened, so any
-		// predicate completing by the crash can temporally precede F.
-		c.SetOcc(off+i, fh, Occurrence{Start: end, End: end + 1, Thread: NoThread})
 	}
+	// F is stamped strictly after the last event: the failure
+	// manifests once everything observed has happened, so any
+	// predicate completing by the crash can temporally precede F.
+	c.SetOcc(row, fh, Occurrence{Start: end, End: end + 1, Thread: NoThread})
 }
 
 func successBaselines(succs []*trace.Execution) map[instKey]*succStats {
@@ -281,106 +204,102 @@ func successBaselines(succs []*trace.Execution) map[instKey]*succStats {
 	return stats
 }
 
-// extractPerCall emits method-fails, too-slow, too-fast and wrong-return
-// predicates for every method instance; execs[k] corresponds to row
-// off+k. ids caches the per-instance ID strings across calls and rounds.
-func extractPerCall(execs []trace.Execution, off int, c *Corpus, stats map[instKey]*succStats, cfg Config, ids map[instKey]callIDs) {
-	for i := range execs {
-		e := &execs[i]
-		row := off + i
-		for j := range e.Calls {
-			call := &e.Calls[j]
-			k := instKey{call.Method, call.Instance}
-			ci := idsFor(ids, k)
-			window := Occurrence{Start: call.Start, End: call.End, Thread: call.Thread}
+// perCall emits the method-fails, too-slow, too-fast, starts-late and
+// wrong-return predicates of every method instance in e.
+func (en *engine) perCall(c *Corpus, row int, e *trace.Execution) {
+	cfg := en.cfg
+	for j := range e.Calls {
+		call := &e.Calls[j]
+		k := instKey{call.Method, call.Instance}
+		ci := idsFor(en.ids, k)
+		window := Occurrence{Start: call.Start, End: call.End, Thread: call.Thread}
 
-			if call.Failed() {
-				id := ci.fails
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindMethodFails,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
-						Repair: catchRepair(k, stats[k], cfg),
-						Desc:   fmt.Sprintf("method %s (call #%d) throws %s", k.m, k.inst, call.Exception),
-					})
-				}
-				c.SetOcc(row, h, window)
+		if call.Failed() {
+			id := ci.fails
+			h, ok := c.HandleOf(id)
+			if !ok {
+				h = c.AddPred(Predicate{
+					ID: id, Kind: KindMethodFails,
+					Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
+					Repair: catchRepair(k, en.stats[k], cfg),
+					Desc:   fmt.Sprintf("method %s (call #%d) throws %s", k.m, k.inst, call.Exception),
+				})
 			}
+			c.SetOcc(row, h, window)
+		}
 
-			st := stats[k]
-			if st == nil {
-				continue // no success baseline for this instance
+		st := en.stats[k]
+		if st == nil {
+			continue // no success baseline for this instance
+		}
+		if call.Duration() > st.maxDur+cfg.DurationMargin {
+			id := ci.slow
+			h, ok := c.HandleOf(id)
+			if !ok {
+				h = c.AddPred(Predicate{
+					ID: id, Kind: KindTooSlow,
+					Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
+					Repair: prematureRepair(k, st, cfg),
+					Desc: fmt.Sprintf("method %s (call #%d) runs too slow (> %d ticks)",
+						k.m, k.inst, st.maxDur),
+				})
 			}
-			if call.Duration() > st.maxDur+cfg.DurationMargin {
-				id := ci.slow
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindTooSlow,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
-						Repair: prematureRepair(k, st, cfg),
-						Desc: fmt.Sprintf("method %s (call #%d) runs too slow (> %d ticks)",
-							k.m, k.inst, st.maxDur),
-					})
-				}
-				c.SetOcc(row, h, window)
+			c.SetOcc(row, h, window)
+		}
+		if !call.Failed() && call.Duration() < st.minDur-cfg.DurationMargin {
+			id := ci.fast
+			h, ok := c.HandleOf(id)
+			if !ok {
+				h = c.AddPred(Predicate{
+					ID: id, Kind: KindTooFast,
+					Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
+					Repair: Intervention{
+						Kind: IvDelayReturn, Methods: []string{k.m},
+						Delay: int64(st.minDur), Safe: true,
+					},
+					Desc: fmt.Sprintf("method %s (call #%d) runs too fast (< %d ticks)",
+						k.m, k.inst, st.minDur),
+				})
 			}
-			if !call.Failed() && call.Duration() < st.minDur-cfg.DurationMargin {
-				id := ci.fast
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindTooFast,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
-						Repair: Intervention{
-							Kind: IvDelayReturn, Methods: []string{k.m},
-							Delay: int64(st.minDur), Safe: true,
-						},
-						Desc: fmt.Sprintf("method %s (call #%d) runs too fast (< %d ticks)",
-							k.m, k.inst, st.minDur),
-					})
-				}
-				c.SetOcc(row, h, window)
+			c.SetOcc(row, h, window)
+		}
+		// Lateness of a nested call is subsumed by its enclosing
+		// span's behaviour; only thread-root spans carry a
+		// meaningful scheduling-lateness signal (§4 Case 2: the
+		// caller's late start causes the callee's).
+		if call.Start > st.maxStart+cfg.DurationMargin && isThreadRoot(e, call) {
+			id := ci.late
+			h, ok := c.HandleOf(id)
+			if !ok {
+				h = c.AddPred(Predicate{
+					ID: id, Kind: KindStartsLate,
+					Methods: []string{k.m}, Instance: k.inst, Stamp: ByStart,
+					// Lateness has no local repair (§4 Case 2): the cause
+					// lies upstream, so the predicate is diagnostic only.
+					Repair: Intervention{Kind: IvNone},
+					Desc: fmt.Sprintf("method %s (call #%d) starts later than expected (> tick %d)",
+						k.m, k.inst, st.maxStart),
+				})
 			}
-			// Lateness of a nested call is subsumed by its enclosing
-			// span's behaviour; only thread-root spans carry a
-			// meaningful scheduling-lateness signal (§4 Case 2: the
-			// caller's late start causes the callee's).
-			if call.Start > st.maxStart+cfg.DurationMargin && isThreadRoot(e, call) {
-				id := ci.late
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindStartsLate,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByStart,
-						// Lateness has no local repair (§4 Case 2): the cause
-						// lies upstream, so the predicate is diagnostic only.
-						Repair: Intervention{Kind: IvNone},
-						Desc: fmt.Sprintf("method %s (call #%d) starts later than expected (> tick %d)",
-							k.m, k.inst, st.maxStart),
-					})
-				}
-				c.SetOcc(row, h, window)
+			c.SetOcc(row, h, window)
+		}
+		if !call.Failed() && st.retSet && st.retConsistent && !st.ret.Void &&
+			!call.Return.Void && !call.Return.Equal(st.ret) {
+			id := ci.ret
+			h, ok := c.HandleOf(id)
+			if !ok {
+				h = c.AddPred(Predicate{
+					ID: id, Kind: KindWrongReturn,
+					Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
+					Repair: Intervention{
+						Kind: IvOverrideReturn, Methods: []string{k.m},
+						Value: st.ret.Int, Safe: cfg.sideEffectFree(k.m),
+					},
+					Desc: fmt.Sprintf("method %s (call #%d) returns incorrect value (correct: %s)",
+						k.m, k.inst, st.ret),
+				})
 			}
-			if !call.Failed() && st.retSet && st.retConsistent && !st.ret.Void &&
-				!call.Return.Void && !call.Return.Equal(st.ret) {
-				id := ci.ret
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindWrongReturn,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
-						Repair: Intervention{
-							Kind: IvOverrideReturn, Methods: []string{k.m},
-							Value: st.ret.Int, Safe: cfg.sideEffectFree(k.m),
-						},
-						Desc: fmt.Sprintf("method %s (call #%d) returns incorrect value (correct: %s)",
-							k.m, k.inst, st.ret),
-					})
-				}
-				c.SetOcc(row, h, window)
-			}
+			c.SetOcc(row, h, window)
 		}
 	}
 }
@@ -422,10 +341,10 @@ type accessWindow struct {
 	locks    []string // intersection of the window's access locksets
 }
 
-// raceScratch holds extractRaces's reusable buffers. A one-shot
-// extraction builds a fresh set; an Extractor keeps one across rounds
-// so steady-state replay extraction reuses the maps, the bucket
-// backings, and the buffer behind the per-window locksets.
+// raceScratch holds the race detector's reusable buffers, kept by the
+// engine across rows (and, in an Extractor, across rounds) so
+// steady-state replay extraction reuses the maps, the bucket backings,
+// and the buffer behind the per-window locksets.
 type raceScratch struct {
 	winIdx    map[trace.ObjectID]int
 	wins      []accessWindow
@@ -446,132 +365,124 @@ func newRaceScratch() *raceScratch {
 	}
 }
 
-// extractRaces emits data-race predicates using access-window
-// interleaving: two method invocations on different threads race on X
-// when their access windows on X strictly interleave (each window's
-// first access happens before the other's last access), at least one
-// access is a write, and no common lock protects both windows. Strict
-// interleaving captures the harmful schedules — e.g. two read-modify-
-// write sections losing an update — while mere span-envelope overlap
-// with disjoint access windows does not race.
-func extractRaces(execs []trace.Execution, off int, c *Corpus, sc *raceScratch) {
-	if sc == nil {
-		sc = newRaceScratch()
-	}
+// races emits data-race predicates using access-window interleaving:
+// two method invocations on different threads race on X when their
+// access windows on X strictly interleave (each window's first access
+// happens before the other's last access), at least one access is a
+// write, and no common lock protects both windows. Strict interleaving
+// captures the harmful schedules — e.g. two read-modify-write sections
+// losing an update — while mere span-envelope overlap with disjoint
+// access windows does not race.
+func (en *engine) races(c *Corpus, row int, e *trace.Execution) {
+	sc := en.race
 	winIdx := sc.winIdx
 	wins := sc.wins
 	bucketIdx := sc.bucketIdx
 	buckets := sc.buckets
-	objs := sc.objs
-	locks := sc.locks
+	objs := sc.objs[:0]
+	locks := sc.locks[:0]
 	defer func() {
 		sc.wins, sc.buckets, sc.objs, sc.locks = wins, buckets, objs, locks
 	}()
-	for i := range execs {
-		e := &execs[i]
-		row := off + i
-		objs = objs[:0]
-		locks = locks[:0]
-		for j := range e.Calls {
-			call := &e.Calls[j]
-			clear(winIdx)
-			wins = wins[:0]
-			for a := range call.Accesses {
-				acc := &call.Accesses[a]
-				wi, ok := winIdx[acc.Object]
+	for j := range e.Calls {
+		call := &e.Calls[j]
+		clear(winIdx)
+		wins = wins[:0]
+		for a := range call.Accesses {
+			acc := &call.Accesses[a]
+			wi, ok := winIdx[acc.Object]
+			if !ok {
+				wi = len(wins)
+				winIdx[acc.Object] = wi
+				n := len(locks)
+				locks = append(locks, acc.Locks...)
+				wins = append(wins, accessWindow{
+					call: call, start: acc.At, end: acc.At,
+					locks: locks[n:len(locks):len(locks)],
+				})
+			} else {
+				w := &wins[wi]
+				if acc.At < w.start {
+					w.start = acc.At
+				}
+				if acc.At > w.end {
+					w.end = acc.At
+				}
+				w.locks = intersectInPlace(w.locks, acc.Locks)
+			}
+			if acc.Kind == trace.Write {
+				wins[wi].hasWrite = true
+			}
+		}
+		for obj, wi := range winIdx {
+			bi, ok := bucketIdx[obj]
+			if !ok {
+				bi = len(buckets)
+				bucketIdx[obj] = bi
+				buckets = append(buckets, nil)
+			}
+			if len(buckets[bi]) == 0 {
+				objs = append(objs, obj)
+			}
+			buckets[bi] = append(buckets[bi], wins[wi])
+		}
+	}
+	slices.Sort(objs)
+	for _, obj := range objs {
+		ws := buckets[bucketIdx[obj]]
+		for x := 0; x < len(ws); x++ {
+			for y := x + 1; y < len(ws); y++ {
+				a, b := &ws[x], &ws[y]
+				if a.call.Thread == b.call.Thread {
+					continue
+				}
+				if !a.hasWrite && !b.hasWrite {
+					continue
+				}
+				// Strict interleaving: each window starts before the
+				// other ends.
+				if !(a.start < b.end && b.start < a.end) {
+					continue
+				}
+				if sharesLock(a.locks, b.locks) {
+					continue
+				}
+				m1, m2 := a.call.Method, b.call.Method
+				if m1 > m2 {
+					m1, m2 = m2, m1
+				}
+				id := ID("race:" + m1 + "|" + m2 + "@" + string(obj))
+				h, ok := c.HandleOf(id)
 				if !ok {
-					wi = len(wins)
-					winIdx[acc.Object] = wi
-					n := len(locks)
-					locks = append(locks, acc.Locks...)
-					wins = append(wins, accessWindow{
-						call: call, start: acc.At, end: acc.At,
-						locks: locks[n:len(locks):len(locks)],
+					h = c.AddPred(Predicate{
+						ID: id, Kind: KindDataRace,
+						Methods: dedupe(m1, m2), Object: obj, Stamp: ByStart,
+						Repair: Intervention{
+							Kind: IvLockMethods, Methods: dedupe(m1, m2), Safe: true,
+						},
+						Desc: "data race between " + m1 + " and " + m2 + " on " + string(obj),
 					})
-				} else {
-					w := &wins[wi]
-					if acc.At < w.start {
-						w.start = acc.At
+				}
+				start := maxTime(a.start, b.start)
+				end := minTime(a.end, b.end)
+				// Merge with an earlier pair's window in this row (an
+				// O(1) read: the column's last write is this row).
+				if prev, ok := c.OccAt(row, h); ok {
+					if prev.Start < start {
+						start = prev.Start
 					}
-					if acc.At > w.end {
-						w.end = acc.At
+					if prev.End > end {
+						end = prev.End
 					}
-					w.locks = intersectInPlace(w.locks, acc.Locks)
 				}
-				if acc.Kind == trace.Write {
-					wins[wi].hasWrite = true
-				}
-			}
-			for obj, wi := range winIdx {
-				bi, ok := bucketIdx[obj]
-				if !ok {
-					bi = len(buckets)
-					bucketIdx[obj] = bi
-					buckets = append(buckets, nil)
-				}
-				if len(buckets[bi]) == 0 {
-					objs = append(objs, obj)
-				}
-				buckets[bi] = append(buckets[bi], wins[wi])
+				c.SetOcc(row, h, Occurrence{Start: start, End: end, Thread: NoThread})
 			}
 		}
-		slices.Sort(objs)
-		for _, obj := range objs {
-			ws := buckets[bucketIdx[obj]]
-			for x := 0; x < len(ws); x++ {
-				for y := x + 1; y < len(ws); y++ {
-					a, b := &ws[x], &ws[y]
-					if a.call.Thread == b.call.Thread {
-						continue
-					}
-					if !a.hasWrite && !b.hasWrite {
-						continue
-					}
-					// Strict interleaving: each window starts before
-					// the other ends.
-					if !(a.start < b.end && b.start < a.end) {
-						continue
-					}
-					if sharesLock(a.locks, b.locks) {
-						continue
-					}
-					m1, m2 := a.call.Method, b.call.Method
-					if m1 > m2 {
-						m1, m2 = m2, m1
-					}
-					id := ID("race:" + m1 + "|" + m2 + "@" + string(obj))
-					h, ok := c.HandleOf(id)
-					if !ok {
-						h = c.AddPred(Predicate{
-							ID: id, Kind: KindDataRace,
-							Methods: dedupe(m1, m2), Object: obj, Stamp: ByStart,
-							Repair: Intervention{
-								Kind: IvLockMethods, Methods: dedupe(m1, m2), Safe: true,
-							},
-							Desc: "data race between " + m1 + " and " + m2 + " on " + string(obj),
-						})
-					}
-					start := maxTime(a.start, b.start)
-					end := minTime(a.end, b.end)
-					// Merge with an earlier pair's window in this row
-					// (an O(1) read: the column's last write is this row).
-					if prev, ok := c.OccAt(row, h); ok {
-						if prev.Start < start {
-							start = prev.Start
-						}
-						if prev.End > end {
-							end = prev.End
-						}
-					}
-					c.SetOcc(row, h, Occurrence{Start: start, End: end, Thread: NoThread})
-				}
-			}
-		}
-		// Truncate this execution's buckets for reuse by the next one.
-		for _, obj := range objs {
-			bi := bucketIdx[obj]
-			buckets[bi] = buckets[bi][:0]
-		}
+	}
+	// Truncate this execution's buckets for reuse by the next one.
+	for _, obj := range objs {
+		bi := bucketIdx[obj]
+		buckets[bi] = buckets[bi][:0]
 	}
 }
 
@@ -632,9 +543,9 @@ func minTime(a, b trace.Time) trace.Time {
 	return b
 }
 
-// extractOrderViolations finds instance pairs (A, B) that are strictly
-// ordered A-then-B in every successful execution and emits the
-// predicate "B starts before A ends" wherever the order flips.
+// Order violations are instance pairs (A, B) that are strictly ordered
+// A-then-B in every successful execution; the predicate "B starts
+// before A ends" holds wherever the order flips.
 //
 // Two restrictions keep the predicate set meaningful:
 //
@@ -647,25 +558,30 @@ func minTime(a, b trace.Time) trace.Time {
 //   - The pair must conflict on a shared object (both access some X,
 //     at least one writing): without a data dependency, the relative
 //     order of two methods cannot affect the outcome.
-//
-// orderState is the success-derived half of order-violation extraction:
-// the baseline instance keys, which pairs stayed strictly ordered in
-// every success, and the keys' access profiles. It is immutable once
-// built, so an Extractor reuses it across replay rounds.
+
+// orderState is the success-derived half of order-violation
+// extraction: the baseline instance keys and the candidate pairs,
+// which stayed strictly ordered in every success and conflict.
 type orderState struct {
-	keys     []instKey
-	keyIdx   map[instKey]int
-	ordered  []bool // flat keys×keys matrix: a-then-b in all successes
-	profiles []accessProfile
+	keys   []instKey
+	keyIdx map[instKey]int
+	pairs  []orderPair
+	// row is scratch: the current execution's calls by key index.
+	row []*trace.MethodCall
+}
+
+// orderPair is a candidate pair of key indices (a then b), with its
+// predicate ID interned on the first flip.
+type orderPair struct {
+	a, b int
+	id   ID
 }
 
 // buildOrderState computes the order baseline from the successes, or
-// nil when no order predicate can exist. It also returns the callRows
-// of the successes (aligned with succs) so callers reuse them instead
-// of re-indexing the same executions.
-func buildOrderState(succs []*trace.Execution, stats map[instKey]*succStats) (*orderState, [][]*trace.MethodCall) {
+// nil when no order predicate can exist.
+func buildOrderState(succs []*trace.Execution, stats map[instKey]*succStats) *orderState {
 	if len(succs) == 0 {
-		return nil, nil
+		return nil
 	}
 	// Keys present in every success are order-baseline candidates.
 	nonLeaf := nonLeafKeys(succs)
@@ -683,15 +599,19 @@ func buildOrderState(succs []*trace.Execution, stats map[instKey]*succStats) (*o
 	})
 	nk := len(keys)
 	if nk == 0 {
-		return nil, nil
+		return nil
 	}
-	keyIdx := make(map[instKey]int, nk)
+	st := &orderState{
+		keys:   keys,
+		keyIdx: make(map[instKey]int, nk),
+	}
 	for i, k := range keys {
-		keyIdx[k] = i
+		st.keyIdx[k] = i
 	}
 	succRows := make([][]*trace.MethodCall, len(succs))
 	for si, e := range succs {
-		succRows[si] = callRow(e, keyIdx, nk)
+		succRows[si] = make([]*trace.MethodCall, nk)
+		st.index(e, succRows[si])
 	}
 	// ordered[ai*nk+bi] = true while A ends before B starts in all
 	// successes seen so far (flat matrix, not a struct-keyed map).
@@ -716,85 +636,71 @@ func buildOrderState(succs []*trace.Execution, stats map[instKey]*succStats) (*o
 			}
 		}
 	}
-	return &orderState{
-		keys:     keys,
-		keyIdx:   keyIdx,
-		ordered:  ordered,
-		profiles: accessProfiles(succRows, keys),
-	}, succRows
+	profiles := accessProfiles(succRows, keys)
+	for ai := 0; ai < nk; ai++ {
+		for bi := 0; bi < nk; bi++ {
+			if ordered[ai*nk+bi] && conflicting(profiles[ai], profiles[bi]) {
+				st.pairs = append(st.pairs, orderPair{a: ai, b: bi})
+			}
+		}
+	}
+	if len(st.pairs) == 0 {
+		return nil
+	}
+	st.row = make([]*trace.MethodCall, nk)
+	return st
 }
 
-// callRow indexes one execution's calls by baseline key: one pass per
-// execution replaces a linear Execution.Call scan per (pair, execution)
-// probe — the dominant cost of large corpora.
-func callRow(e *trace.Execution, keyIdx map[instKey]int, nk int) []*trace.MethodCall {
-	row := make([]*trace.MethodCall, nk)
-	callRowInto(e, keyIdx, row)
-	return row
-}
-
-// callRowInto is callRow into caller-provided zeroed storage of length
-// nk — the scratch-reusing form for the per-round extraction path.
-func callRowInto(e *trace.Execution, keyIdx map[instKey]int, row []*trace.MethodCall) {
+// index fills row (zeroed, one slot per baseline key) with e's calls:
+// one pass per execution replaces a linear Execution.Call scan per
+// (pair, execution) probe.
+func (st *orderState) index(e *trace.Execution, row []*trace.MethodCall) {
 	for ci := range e.Calls {
 		call := &e.Calls[ci]
-		if ki, ok := keyIdx[instKey{call.Method, call.Instance}]; ok {
+		if ki, ok := st.keyIdx[instKey{call.Method, call.Instance}]; ok {
 			row[ki] = call
 		}
 	}
 }
 
-// emitOrderViolations emits the predicate "B starts before A ends" for
-// every baseline-ordered conflicting pair wherever the order flips;
-// rows[i] is the callRow of the execution behind corpus row i.
-func emitOrderViolations(c *Corpus, st *orderState, rows [][]*trace.MethodCall, cfg Config) {
-	nk := len(st.keys)
-	emitted := 0
-	for ai := range st.keys {
-		for bi := range st.keys {
-			if ai == bi || !st.ordered[ai*nk+bi] {
-				continue
-			}
-			if !conflicting(st.profiles[ai], st.profiles[bi]) {
-				continue
-			}
-			if cfg.MaxOrderPairs > 0 && emitted >= cfg.MaxOrderPairs {
-				return
-			}
-			var h Handle
-			added := false
-			for i := range rows {
-				a, b := rows[i][ai], rows[i][bi]
-				if a == nil || b == nil || a.End <= b.Start {
-					continue
-				}
-				if !added {
-					h = c.AddPred(orderPredicate(st.keys[ai], st.keys[bi]))
-					added = true
-					emitted++
-				}
-				c.SetOcc(i, h, Occurrence{Start: b.Start, End: a.End, Thread: NoThread})
-			}
+// orderFlips emits "B starts before A ends" for every candidate pair
+// whose order flips in e.
+func (en *engine) orderFlips(c *Corpus, row int, e *trace.Execution) {
+	st := en.order
+	if st == nil {
+		return
+	}
+	calls := st.row
+	clear(calls)
+	st.index(e, calls)
+	for i := range st.pairs {
+		p := &st.pairs[i]
+		a, b := calls[p.a], calls[p.b]
+		if a == nil || b == nil || a.End <= b.Start {
+			continue
 		}
+		ka, kb := st.keys[p.a], st.keys[p.b]
+		if p.id == "" {
+			p.id = ID("order:" + ka.String() + "<" + kb.String())
+		}
+		h, ok := c.HandleOf(p.id)
+		if !ok {
+			h = c.AddPred(Predicate{
+				ID:      p.id,
+				Kind:    KindOrderViolation,
+				Methods: dedupe(ka.m, kb.m), Instance: ka.inst, Stamp: ByStart,
+				Repair: Intervention{
+					Kind: IvEnforceOrder, Methods: []string{ka.m, kb.m}, Safe: true,
+				},
+				Desc: fmt.Sprintf("%s starts before %s ends (expected order: %s then %s)",
+					kb, ka, ka, kb),
+			})
+		}
+		c.SetOcc(row, h, Occurrence{Start: b.Start, End: a.End, Thread: NoThread})
 	}
 }
 
-// orderPredicate builds the order-violation predicate "kb starts before
-// ka ends" for a baseline-ordered pair.
-func orderPredicate(ka, kb instKey) Predicate {
-	return Predicate{
-		ID:      ID("order:" + ka.String() + "<" + kb.String()),
-		Kind:    KindOrderViolation,
-		Methods: dedupe(ka.m, kb.m), Instance: ka.inst, Stamp: ByStart,
-		Repair: Intervention{
-			Kind: IvEnforceOrder, Methods: []string{ka.m, kb.m}, Safe: true,
-		},
-		Desc: fmt.Sprintf("%s starts before %s ends (expected order: %s then %s)",
-			kb, ka, ka, kb),
-	}
-}
-
-// Atomicity violations (buildAtomState + emitAtomicityViolations) find
+// Atomicity violations (buildAtomState + engine.atomicity) find
 // same-thread span pairs (A, B) both accessing an object X with no
 // intervening remote write in any successful run, and emit a predicate
 // where a remote write slips between them. The repair serializes the
@@ -832,32 +738,35 @@ type atomAccess struct {
 // and rounds, truncating instead of reallocating.
 type atomScratch struct {
 	byObj map[trace.ObjectID][]atomAccess
+	// objs lists the objects the current execution touched, sorted
+	// before the scan so candidates are reported in a fixed order.
+	objs []trace.ObjectID
 }
 
 func newAtomScratch() *atomScratch {
 	return &atomScratch{byObj: make(map[trace.ObjectID][]atomAccess)}
 }
 
-// scanAtomicity walks one execution's object-access sequences and
-// reports each candidate pair with whether a remote write intervened.
+// scanAtomicity walks one execution's object-access sequences, object
+// by object in ID order, and reports each candidate pair with whether a
+// remote write intervened.
 func scanAtomicity(e *trace.Execution, sc *atomScratch, record func(cd atomCand, violated bool, gapStart, gapEnd trace.Time)) {
-	if sc == nil {
-		sc = newAtomScratch()
-	}
 	byObj := sc.byObj
+	objs := sc.objs[:0]
 	for j := range e.Calls {
 		call := &e.Calls[j]
 		for a := range call.Accesses {
 			acc := &call.Accesses[a]
-			byObj[acc.Object] = append(byObj[acc.Object], atomAccess{call, acc.At, acc.Kind})
+			accs := byObj[acc.Object]
+			if len(accs) == 0 {
+				objs = append(objs, acc.Object)
+			}
+			byObj[acc.Object] = append(accs, atomAccess{call, acc.At, acc.Kind})
 		}
 	}
-	// Buckets left empty by this execution are skipped, so a persistent
-	// scratch sees exactly the objects a fresh map would.
-	for obj, accs := range byObj {
-		if len(accs) == 0 {
-			continue
-		}
+	slices.Sort(objs)
+	for _, obj := range objs {
+		accs := byObj[obj]
 		slices.SortFunc(accs, func(x, y atomAccess) int {
 			switch {
 			case x.at < y.at:
@@ -890,14 +799,11 @@ func scanAtomicity(e *trace.Execution, sc *atomScratch, record func(cd atomCand,
 				y = len(accs) // only the next foreign-span access matters
 			}
 		}
+		// Truncate the bucket so the next execution appends into the
+		// retained backing.
+		byObj[obj] = accs[:0]
 	}
-	// Truncate the touched buckets so the next execution appends into
-	// the retained backings.
-	for obj, accs := range byObj {
-		if len(accs) != 0 {
-			byObj[obj] = accs[:0]
-		}
-	}
+	sc.objs = objs
 }
 
 // buildAtomState collects candidate pairs from the successes:
@@ -922,41 +828,36 @@ func buildAtomState(succs []*trace.Execution) *atomState {
 	return st
 }
 
-// emitAtomicityViolations emits a predicate wherever a remote write
-// slips between a success-established candidate pair; execs[k]
-// corresponds to row off+k. Successful executions can never emit
-// (a violation there is, by construction, violatedInSuccess).
-func emitAtomicityViolations(execs []trace.Execution, off int, c *Corpus, st *atomState, sc *atomScratch) {
-	for i := range execs {
-		e := &execs[i]
-		row := off + i
-		scanAtomicity(e, sc, func(cd atomCand, violated bool, gapStart, gapEnd trace.Time) {
-			id, cand := st.ids[cd]
-			if !violated || !cand || st.violatedInSuccess[cd] {
-				return
-			}
-			h, ok := c.HandleOf(id)
-			if !ok {
-				parent := commonParent(e, cd.a, cd.b)
-				repair := Intervention{Kind: IvNone}
-				if parent != "" {
-					repair = Intervention{
-						Kind:    IvLockMethods,
-						Methods: []string{parent},
-						Safe:    true,
-					}
+// atomicity emits a predicate wherever a remote write slips between a
+// success-established candidate pair in e.
+func (en *engine) atomicity(c *Corpus, row int, e *trace.Execution) {
+	st := en.atom
+	scanAtomicity(e, en.atomSc, func(cd atomCand, violated bool, gapStart, gapEnd trace.Time) {
+		id, cand := st.ids[cd]
+		if !violated || !cand || st.violatedInSuccess[cd] {
+			return
+		}
+		h, ok := c.HandleOf(id)
+		if !ok {
+			parent := commonParent(e, cd.a, cd.b)
+			repair := Intervention{Kind: IvNone}
+			if parent != "" {
+				repair = Intervention{
+					Kind:    IvLockMethods,
+					Methods: []string{parent},
+					Safe:    true,
 				}
-				h = c.AddPred(Predicate{
-					ID: id, Kind: KindAtomicityViolation,
-					Methods: dedupe(cd.a.m, cd.b.m), Object: cd.obj, Stamp: ByStart,
-					Repair: repair,
-					Desc: fmt.Sprintf("atomicity of %s then %s on %s violated by a remote write",
-						cd.a, cd.b, cd.obj),
-				})
 			}
-			c.SetOcc(row, h, Occurrence{Start: gapStart, End: gapEnd, Thread: NoThread})
-		})
-	}
+			h = c.AddPred(Predicate{
+				ID: id, Kind: KindAtomicityViolation,
+				Methods: dedupe(cd.a.m, cd.b.m), Object: cd.obj, Stamp: ByStart,
+				Repair: repair,
+				Desc: fmt.Sprintf("atomicity of %s then %s on %s violated by a remote write",
+					cd.a, cd.b, cd.obj),
+			})
+		}
+		c.SetOcc(row, h, Occurrence{Start: gapStart, End: gapEnd, Thread: NoThread})
+	})
 }
 
 // isThreadRoot reports whether no other same-thread span strictly

@@ -1,7 +1,7 @@
 package predicate
 
 import (
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -349,39 +349,6 @@ func TestOrderViolationNotEmittedWhenConsistent(t *testing.T) {
 	}
 }
 
-func TestMaxOrderPairsCap(t *testing.T) {
-	// Three methods strictly ordered in successes, fully flipped in the
-	// failure: 3 candidate pairs, capped to 1.
-	mk := func(id string, outcome trace.Outcome, flip bool) trace.Execution {
-		ts := [][2]trace.Time{{0, 10}, {20, 30}, {40, 50}}
-		if flip {
-			ts = [][2]trace.Time{{40, 50}, {20, 30}, {0, 10}}
-		}
-		var calls []trace.MethodCall
-		for i, m := range []string{"A", "B", "C"} {
-			cl := call(m, trace.ThreadID(i+1), ts[i][0], ts[i][1])
-			kind := trace.Read
-			if i == 0 {
-				kind = trace.Write
-			}
-			cl.Accesses = []trace.Access{{Object: "data", Kind: kind, At: ts[i][0] + 1}}
-			calls = append(calls, cl)
-		}
-		return trace.Execution{ID: id, Outcome: outcome, Calls: calls}
-	}
-	s := buildSet(mk("s", trace.Success, false), mk("f", trace.Failure, true))
-	c := Extract(s, Config{MaxOrderPairs: 1})
-	n := 0
-	for _, id := range c.IDs() {
-		if strings.HasPrefix(string(id), "order:") {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Fatalf("order predicates = %d, want 1 (capped)", n)
-	}
-}
-
 func atomicityExec(id string, outcome trace.Outcome, interleaved bool) trace.Execution {
 	parent := call("Parent", 1, 0, 100)
 	a := call("ReadCfg", 1, 10, 20)
@@ -438,6 +405,35 @@ func TestAtomicityWithoutParentIsUnrepairable(t *testing.T) {
 	}
 }
 
+// TestAtomicityOrderDeterministic: a failed row with atomicity
+// violations on two objects must register their predicates in the same
+// order on every extraction (objects are visited in ID order, not map
+// order).
+func TestAtomicityOrderDeterministic(t *testing.T) {
+	twoObj := func(id string, outcome trace.Outcome, interleaved bool) trace.Execution {
+		e := atomicityExec(id, outcome, interleaved)
+		for i := range e.Calls {
+			for _, acc := range e.Calls[i].Accesses {
+				acc.Object = "cfg2"
+				e.Calls[i].Accesses = append(e.Calls[i].Accesses, acc)
+			}
+		}
+		return e
+	}
+	s := buildSet(twoObj("s", trace.Success, false), twoObj("f", trace.Failure, true))
+	want := Extract(s, Config{}).IDs()
+	for _, id := range []ID{"atom:ReadCfg#0,UseCfg#0@cfg", "atom:ReadCfg#0,UseCfg#0@cfg2"} {
+		if !slices.Contains(want, id) {
+			t.Fatalf("missing %s; have %v", id, want)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if got := Extract(s, Config{}).IDs(); !slices.Equal(got, want) {
+			t.Fatalf("extraction %d registered %v, first registered %v", i, got, want)
+		}
+	}
+}
+
 func TestCompoundMaterialization(t *testing.T) {
 	bad := call("Query", 0, 0, 10)
 	bad.Exception = "NullRef"
@@ -472,49 +468,6 @@ func TestCompoundMaterialization(t *testing.T) {
 	}
 	if _, err := c.CompoundAnd("fails:Query#0", "nope"); err == nil {
 		t.Fatal("unknown member accepted")
-	}
-}
-
-// TestExtractStreamMatchesBatch pins the streaming ingest's contract:
-// row-by-row extraction produces the same corpus as the batch path —
-// same predicate set, same per-row occurrences, same maintained counts
-// — differing only in registration order.
-func TestExtractStreamMatchesBatch(t *testing.T) {
-	set := benchSet(40, 30)
-	cfg := Config{DurationMargin: 4}
-	batch := Extract(set, cfg)
-	rows := 0
-	lastFail := -1
-	stream := ExtractStream(set, cfg, func(row int, c *Corpus) {
-		rows++
-		if c.NumLogs() != row+1 {
-			t.Fatalf("callback at row %d sees %d rows", row, c.NumLogs())
-		}
-		lastFail = c.FailedCount()
-	})
-	if rows != len(set.Executions) {
-		t.Fatalf("onRow fired %d times for %d executions", rows, len(set.Executions))
-	}
-	if lastFail != stream.FailedCount() {
-		t.Fatalf("incremental failed count %d, final %d", lastFail, stream.FailedCount())
-	}
-	if batch.NumPreds() != stream.NumPreds() {
-		t.Fatalf("stream extracted %d predicates, batch %d", stream.NumPreds(), batch.NumPreds())
-	}
-	if batch.NumLogs() != stream.NumLogs() {
-		t.Fatalf("stream has %d rows, batch %d", stream.NumLogs(), batch.NumLogs())
-	}
-	for i := 0; i < batch.NumLogs(); i++ {
-		if !reflect.DeepEqual(batch.Log(i).OccMap(), stream.Log(i).OccMap()) {
-			t.Fatalf("row %d differs between stream and batch", i)
-		}
-	}
-	for _, id := range batch.IDs() {
-		bo, bf, bn := batch.Counts(id)
-		so, sf, sn := stream.Counts(id)
-		if bo != so || bf != sf || bn != sn {
-			t.Fatalf("counts for %s: stream (%d,%d,%d), batch (%d,%d,%d)", id, so, sf, sn, bo, bf, bn)
-		}
 	}
 }
 

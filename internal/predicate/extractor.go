@@ -2,202 +2,111 @@ package predicate
 
 import (
 	"fmt"
+	"slices"
 
 	"aid/internal/trace"
 )
 
-// Extractor caches the baseline-derived half of predicate extraction
-// for a fixed set of successful executions, so that repeated
-// extractions against changing failure replays — one per intervention
-// round — skip re-scanning the baselines. For B baselines and R
+// Extractor runs the extraction engine for a fixed set of successful
+// baseline executions against changing failure replays — one replay
+// set per intervention round. The baselines are scanned once, into the
+// sealed prefix of a corpus the extractor reuses; each round rewinds
+// it to that prefix and scans only its replays. For B baselines and R
 // replays per round it turns every round's O(B+R) scan into O(R).
 //
-// Extract(replays) returns exactly the corpus that
-//
-//	Extract(&trace.Set{Executions: baselines ++ replays}, cfg)
-//
-// would, provided every baseline is a successful execution and every
-// replay a failed one (the intervention-replay invariant: package
-// inject marks all replays failed before extraction). Under that
-// invariant baseline logs never gain occurrences from replay-derived
-// predicates, so the cached template logs are shared, not copied,
-// across rounds.
-//
-// ExtractReplays is the steady-state variant: occurrence-equivalent to
-// Extract but reusing one overlay corpus across rounds, so repeated
-// rounds allocate (almost) nothing.
+// Every baseline must be a successful execution and every replay a
+// failed one (the intervention-replay invariant: package inject marks
+// all replays failed before extraction). Under that invariant the
+// baseline rows never gain occurrences from replay-derived predicates.
 type Extractor struct {
-	cfg      Config
-	stats    map[instKey]*succStats
-	order    *orderState
-	baseRows [][]*trace.MethodCall
-	atom     *atomState
-	// template holds the baseline logs and every predicate discoverable
-	// from the baselines alone (unobserved ones included; the per-round
-	// corpus applies DropUnobserved after merging).
-	template *Corpus
-
-	// ids interns the per-instance predicate ID strings across rounds.
-	ids map[instKey]callIDs
-	// race and atomSc are the extraction scratch buffers, reused across
-	// rounds. The extractor is single-threaded by contract (package
-	// inject serializes extraction under its observation lock).
-	race   *raceScratch
-	atomSc *atomScratch
-
-	// overlay is ExtractReplays's reused corpus: derived from the
-	// template once, then epoch-reset to the sealed baseline between
-	// rounds. Its predicate table is cumulative — predicates observed
-	// in earlier rounds stay registered (with their occurrences
-	// cleared), so re-manifesting ones skip ID interning and metadata
-	// rebuilds entirely.
-	overlay *Corpus
-	// rowScratch/rowBacking back the order-violation call rows of the
-	// replay executions.
-	rowScratch [][]*trace.MethodCall
-	rowBacking []*trace.MethodCall
+	en *engine
+	// c holds the baseline rows (sealed) followed by the current
+	// round's replay rows. Its predicate table is cumulative —
+	// predicates observed in earlier rounds stay registered (with their
+	// occurrences cleared), so re-manifesting ones skip ID interning
+	// and metadata rebuilds entirely.
+	c *Corpus
+	// base holds the column headers as the baselines left them, one per
+	// predicate registered by then: the state each round rewinds to.
+	base []column
 }
 
 // NewExtractor scans the baseline executions once and caches every
 // derived structure. Every baseline must be a successful execution —
-// the shared-template contract only holds then (a failed baseline
-// could gain occurrences from replay-derived predicates round after
-// round) — so failed baselines are rejected. The cached state points
-// into the baselines slice, which must not be mutated afterwards.
+// the shared-prefix contract only holds then (a failed baseline could
+// gain occurrences from replay-derived predicates round after round) —
+// so failed baselines are rejected. The cached state points into the
+// baselines slice, which must not be mutated afterwards.
 func NewExtractor(baselines []trace.Execution, cfg Config) (*Extractor, error) {
-	x := &Extractor{
-		cfg:    cfg,
-		ids:    make(map[instKey]callIDs),
-		race:   newRaceScratch(),
-		atomSc: newAtomScratch(),
-	}
-	c := NewCorpus()
 	succs := make([]*trace.Execution, 0, len(baselines))
 	for i := range baselines {
 		e := &baselines[i]
 		if e.Failed() {
 			return nil, fmt.Errorf("predicate: extractor baseline %q is a failed execution", e.ID)
 		}
-		c.AddRow(e.ID, false)
 		succs = append(succs, e)
 	}
-	x.stats = successBaselines(succs)
-	c.AddPred(FailurePredicate())
-	extractPerCall(baselines, 0, c, x.stats, cfg, x.ids)
-	extractRaces(baselines, 0, c, x.race)
-	// succs is exactly baselines (all successes), so buildOrderState's
-	// rows are the baseline rows; F stamping, order flips and atomicity
-	// emissions cannot occur in successes and are skipped here.
-	x.order, x.baseRows = buildOrderState(succs, x.stats)
-	x.atom = buildAtomState(succs)
-	x.template = c
+	x := &Extractor{en: newEngine(succs, cfg), c: NewCorpus()}
+	x.c.AddPred(FailurePredicate())
+	for _, e := range succs {
+		x.en.addRow(x.c, e)
+	}
+	x.c.sealed = len(succs)
+	x.base = slices.Clone(x.c.cols)
 	return x, nil
 }
 
-// Extract evaluates the predicate vocabulary over baselines ++ replays,
-// rescanning only the replays. Log indices follow that order: rows
-// [0, len(baselines)) are the baselines', the rest the replays'.
-// The returned corpus is freshly derived and independent; callers that
-// extract every round and never retain the result should use
-// ExtractReplays instead.
-func (x *Extractor) Extract(replays []trace.Execution) *Corpus {
-	base := x.template
-	c := base.deriveSealed(len(replays))
-	x.extractInto(c, replays)
-	// Effect-guided pruning mirrors Extract: replay corpora must agree
-	// with the main corpus's predicate set for a given config.
-	c.DropPure(x.cfg.PureMethods)
-	if !x.cfg.keepUnobserved {
-		c.DropUnobserved()
-	}
-	return c
-}
-
-// ExtractReplays is Extract for the steady-state intervention loop: it
-// reuses one overlay corpus across calls instead of deriving a fresh
-// one per round, so after the first round the per-round allocation
-// cost is near zero. It differs from Extract in two ways, both
-// invisible to occurrence queries:
+// ExtractReplays evaluates the predicate vocabulary over baselines ++
+// replays, scanning only the replays. Rows [0, len(baselines)) are the
+// baselines', the rest the replays'. For every predicate it retains,
+//
+//	Extract(&trace.Set{Executions: baselines ++ replays}, cfg)
+//
+// answers occurrence queries identically; ExtractReplays differs in
+// two ways:
 //
 //   - The corpus is not compacted (no DropPure/DropUnobserved pass):
-//     predicates from the template or from earlier rounds stay
+//     predicates from the baselines or from earlier rounds stay
 //     registered even when unobserved this round, with empty columns.
 //     HandleOf succeeds for more IDs than on a compacted corpus, but
 //     Has/HasHandle/OccAt/Counts answer identically for every
 //     predicate a compacted corpus retains.
-//   - The returned corpus is valid only until the next ExtractReplays
-//     call on this extractor: callers must finish reading before
-//     re-extracting and must not retain it or slices read from it.
+//   - The returned corpus is reused across rounds, so after the first
+//     round the per-round allocation cost is near zero. It is valid
+//     only until the next ExtractReplays call on this extractor:
+//     callers must finish reading before re-extracting and must not
+//     retain it or slices read from it.
 func (x *Extractor) ExtractReplays(replays []trace.Execution) *Corpus {
-	if x.overlay == nil {
-		x.overlay = x.template.deriveSealed(len(replays))
-	} else {
-		x.resetOverlay()
-	}
-	x.extractInto(x.overlay, replays)
-	return x.overlay
-}
-
-// extractInto runs the replay-half of extraction into c, whose rows
-// [0, template.NumLogs()) hold the sealed baseline.
-func (x *Extractor) extractInto(c *Corpus, replays []trace.Execution) {
-	off := x.template.NumLogs()
+	x.rewind()
 	for i := range replays {
-		e := &replays[i]
-		c.AddRow(e.ID, e.Failed())
+		x.en.addRow(x.c, &replays[i])
 	}
-	stampFailures(replays, off, c)
-	extractPerCall(replays, off, c, x.stats, x.cfg, x.ids)
-	extractRaces(replays, off, c, x.race)
-	if x.order != nil {
-		nk := len(x.order.keys)
-		need := len(replays) * nk
-		if cap(x.rowBacking) < need {
-			x.rowBacking = make([]*trace.MethodCall, need)
-		}
-		backing := x.rowBacking[:need]
-		clear(backing)
-		rows := append(x.rowScratch[:0], x.baseRows...)
-		for i := range replays {
-			seg := backing[i*nk : (i+1)*nk : (i+1)*nk]
-			callRowInto(&replays[i], x.order.keyIdx, seg)
-			rows = append(rows, seg)
-		}
-		x.rowScratch = rows
-		emitOrderViolations(c, x.order, rows, x.cfg)
-	}
-	emitAtomicityViolations(replays, off, c, x.atom, x.atomSc)
+	return x.c
 }
 
-// resetOverlay rewinds the overlay corpus to the sealed baseline: all
-// replay rows disappear and every column's occurrences truncate back
-// to the template's, while the backing arrays, the predicate table,
-// and the ID-intern map keep their high-water capacity for the next
-// round.
-func (x *Extractor) resetOverlay() {
-	o, base := x.overlay, x.template
-	n := base.NumLogs()
-	nBase := len(base.Preds)
-	for i := range o.cols {
-		oc := &o.cols[i]
-		if i < nBase {
-			bc := &base.cols[i]
-			oc.occs = oc.occs[:len(bc.occs)]
-			oc.last = bc.last
-			oc.failCnt = bc.failCnt
-		} else {
-			// A predicate discovered in an earlier round: only replay
-			// rows ever held occurrences, so it resets to empty.
-			oc.occs = oc.occs[:0]
-			oc.last = -1
-			oc.failCnt = 0
+// rewind drops the replay rows: every column's occurrences truncate
+// back to the baselines', while the backing arrays, the predicate
+// table, and the ID-intern map keep their high-water capacity for the
+// next round. All baseline rows are successes, so no failed row
+// survives.
+func (x *Extractor) rewind() {
+	c := x.c
+	n := c.sealed
+	for i := range c.cols {
+		col := &c.cols[i]
+		b := column{last: -1}
+		if i < len(x.base) {
+			b = x.base[i]
 		}
-		oc.rows.ClearFrom(n)
+		col.occs = col.occs[:len(b.occs)]
+		col.last = b.last
+		col.failCnt = 0
+		col.rows.ClearFrom(n)
 	}
-	o.execIDs = o.execIDs[:n]
-	o.failedRows.ClearFrom(n)
-	o.failOrd = o.failOrd[:n]
-	o.nFail = base.nFail
-	o.partFail = o.partFail[:base.nFail]
-	o.partSucc = o.partSucc[:n-base.nFail]
+	c.execIDs = c.execIDs[:n]
+	c.failedRows.ClearFrom(n)
+	c.failOrd = c.failOrd[:n]
+	c.nFail = 0
+	c.partFail = c.partFail[:0]
+	c.partSucc = c.partSucc[:n]
 }

@@ -7,33 +7,56 @@ import (
 	"aid/internal/trace"
 )
 
-// TestExtractorMatchesOneShot asserts the cached path's contract: for
-// success-only baselines and failed replays, Extractor.Extract returns
-// exactly what a one-shot Extract over the concatenated set would.
-func TestExtractorMatchesOneShot(t *testing.T) {
-	set := benchSet(30, 24)
-	var baselines, replays []trace.Execution
-	for _, e := range set.Executions {
+// splitBench partitions a benchSet corpus into success baselines and
+// failed replays.
+func splitBench(execs, calls int) (baselines, replays []trace.Execution) {
+	for _, e := range benchSet(execs, calls).Executions {
 		if e.Failed() {
 			replays = append(replays, e)
 		} else {
 			baselines = append(baselines, e)
 		}
 	}
-	cfg := Config{DurationMargin: 4}
+	return baselines, replays
+}
 
+// oneShot is the reference for the Extractor: one-shot Extract over
+// baselines ++ replays.
+func oneShot(baselines, replays []trace.Execution, cfg Config) *Corpus {
 	merged := &trace.Set{}
 	merged.Executions = append(merged.Executions, baselines...)
 	merged.Executions = append(merged.Executions, replays...)
-	want := Extract(merged, cfg)
+	return Extract(merged, cfg)
+}
+
+// observed returns c's predicates that occur in some row, in
+// registration order: the table DropUnobserved would keep.
+func observed(c *Corpus) []Predicate {
+	out := make([]Predicate, 0, len(c.Preds))
+	for h := range c.Preds {
+		if occ, _ := c.CountsAt(Handle(h)); occ > 0 {
+			out = append(out, c.Preds[h])
+		}
+	}
+	return out
+}
+
+// TestExtractorMatchesOneShot asserts the cached path's contract: for
+// success-only baselines and failed replays, ExtractReplays yields
+// exactly the predicates (in the same order) and rows a one-shot
+// Extract over the concatenated set would.
+func TestExtractorMatchesOneShot(t *testing.T) {
+	baselines, replays := splitBench(30, 24)
+	cfg := Config{DurationMargin: 4}
+	want := oneShot(baselines, replays, cfg)
 
 	x, err := NewExtractor(baselines, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ { // rounds must not contaminate each other
-		got := x.Extract(replays)
-		if !reflect.DeepEqual(want.Preds, got.Preds) {
+		got := x.ExtractReplays(replays)
+		if !reflect.DeepEqual(want.Preds, observed(got)) {
 			t.Fatalf("round %d: predicate table differs from one-shot extraction", round)
 		}
 		if want.NumLogs() != got.NumLogs() {
@@ -50,19 +73,12 @@ func TestExtractorMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestExtractorSubsetReplays checks a replay set different from the
+// TestExtractorSubsetReplays checks replay sets different from the
 // baseline-building corpus (each round replays under a new plan, so the
-// traces differ round to round).
+// traces differ round to round). The sets grow by prefix, so the
+// replay corpus's cumulative predicate table registers in one-shot order.
 func TestExtractorSubsetReplays(t *testing.T) {
-	set := benchSet(30, 24)
-	var baselines, replays []trace.Execution
-	for _, e := range set.Executions {
-		if e.Failed() {
-			replays = append(replays, e)
-		} else {
-			baselines = append(baselines, e)
-		}
-	}
+	baselines, replays := splitBench(30, 24)
 	cfg := Config{DurationMargin: 4}
 	x, err := NewExtractor(baselines, cfg)
 	if err != nil {
@@ -70,12 +86,9 @@ func TestExtractorSubsetReplays(t *testing.T) {
 	}
 	for cut := 1; cut <= len(replays); cut++ {
 		sub := replays[:cut]
-		merged := &trace.Set{}
-		merged.Executions = append(merged.Executions, baselines...)
-		merged.Executions = append(merged.Executions, sub...)
-		want := Extract(merged, cfg)
-		got := x.Extract(sub)
-		if !reflect.DeepEqual(want.Preds, got.Preds) {
+		want := oneShot(baselines, sub, cfg)
+		got := x.ExtractReplays(sub)
+		if !reflect.DeepEqual(want.Preds, observed(got)) {
 			t.Fatalf("cut %d: predicate table differs from one-shot extraction", cut)
 		}
 		for i := 0; i < want.NumLogs(); i++ {
@@ -86,28 +99,16 @@ func TestExtractorSubsetReplays(t *testing.T) {
 	}
 }
 
-// TestExtractReplaysMatchesExtract pins the overlay path's contract:
+// TestExtractReplaysMatchesExtract pins the reused replay corpus's contract:
 // across rounds with varying replay subsets (exercising the epoch
 // reset), ExtractReplays must answer occurrence queries identically to
-// the fresh-derive Extract for every predicate Extract retains —
-// extra zero-occurrence predicates in the overlay are the only
-// permitted difference.
+// one-shot Extract for every predicate Extract retains — extra
+// zero-occurrence predicates in the replay corpus are the only permitted
+// difference.
 func TestExtractReplaysMatchesExtract(t *testing.T) {
-	set := benchSet(30, 24)
-	var baselines, replays []trace.Execution
-	for _, e := range set.Executions {
-		if e.Failed() {
-			replays = append(replays, e)
-		} else {
-			baselines = append(baselines, e)
-		}
-	}
+	baselines, replays := splitBench(30, 24)
 	cfg := Config{DurationMargin: 4}
 	x, err := NewExtractor(baselines, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewExtractor(baselines, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestExtractReplaysMatchesExtract(t *testing.T) {
 	cuts := []int{len(replays), 3, len(replays) / 2, len(replays), 1, len(replays)}
 	for round, cut := range cuts {
 		sub := replays[:cut]
-		want := ref.Extract(sub)
+		want := oneShot(baselines, sub, cfg)
 		got := x.ExtractReplays(sub)
 		if got.NumLogs() != want.NumLogs() {
 			t.Fatalf("round %d: %d logs, want %d", round, got.NumLogs(), want.NumLogs())
@@ -128,11 +129,11 @@ func TestExtractReplaysMatchesExtract(t *testing.T) {
 			}
 		}
 		// Every retained predicate of the compacted corpus must answer
-		// identically in the overlay.
+		// identically in the replay corpus.
 		for _, p := range want.Preds {
 			gh, ok := got.HandleOf(p.ID)
 			if !ok {
-				t.Fatalf("round %d: overlay is missing predicate %q", round, p.ID)
+				t.Fatalf("round %d: replay corpus is missing predicate %q", round, p.ID)
 			}
 			wo, wf, _ := want.Counts(p.ID)
 			goc, gif := got.CountsAt(gh)
@@ -148,7 +149,7 @@ func TestExtractReplaysMatchesExtract(t *testing.T) {
 				}
 			}
 		}
-		// And every extra overlay predicate must be unobserved — a
+		// And every extra replay-corpus predicate must be unobserved — a
 		// leftover from an earlier round with its occurrences cleared.
 		for h := range got.Preds {
 			id := got.Preds[h].ID
@@ -156,26 +157,18 @@ func TestExtractReplaysMatchesExtract(t *testing.T) {
 				continue
 			}
 			if occ, inF := got.CountsAt(Handle(h)); occ != 0 || inF != 0 {
-				t.Fatalf("round %d: overlay-only predicate %q has occurrences (%d,%d)", round, id, occ, inF)
+				t.Fatalf("round %d: replay-corpus-only predicate %q has occurrences (%d,%d)", round, id, occ, inF)
 			}
 		}
 	}
 }
 
-// TestExtractReplaysSteadyStateAllocs pins the point of the overlay:
+// TestExtractReplaysSteadyStateAllocs pins the point of the reused replay corpus:
 // warm rounds with the same replay shape must allocate near zero —
 // the budget covers only the compound-materialization clone and map
 // internals, not per-row or per-predicate work.
 func TestExtractReplaysSteadyStateAllocs(t *testing.T) {
-	set := benchSet(30, 24)
-	var baselines, replays []trace.Execution
-	for _, e := range set.Executions {
-		if e.Failed() {
-			replays = append(replays, e)
-		} else {
-			baselines = append(baselines, e)
-		}
-	}
+	baselines, replays := splitBench(30, 24)
 	x, err := NewExtractor(baselines, Config{DurationMargin: 4})
 	if err != nil {
 		t.Fatal(err)

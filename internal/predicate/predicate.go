@@ -250,7 +250,7 @@ func (l ExecLog) Occ(id ID) (Occurrence, bool) {
 }
 
 // OccMap materializes the row as an ID-keyed occurrence map — the
-// row-oriented edge representation used by the on-disk codec and tests.
+// row-oriented edge representation used by the row oracle and tests.
 func (l ExecLog) OccMap() map[ID]Occurrence {
 	out := make(map[ID]Occurrence)
 	row := int(l.row)
@@ -267,8 +267,8 @@ func (l ExecLog) OccMap() map[ID]Occurrence {
 // Corpus is a set of predicates plus their occurrence columns over a
 // set of executions — the input to statistical debugging and the
 // AC-DAG. Rows (executions) are append-only; columns are written in
-// nondecreasing row order (the natural order of both batch extraction
-// and streaming ingest).
+// nondecreasing row order (the natural order of row-at-a-time
+// extraction and of AddLog).
 type Corpus struct {
 	Preds []Predicate // indexed by Handle
 	byID  map[ID]Handle
@@ -287,8 +287,8 @@ type Corpus struct {
 	partFail []ExecLog
 	partSucc []ExecLog
 
-	// sealed guards rows shared with an extraction template (see
-	// Extractor): writes below it would mutate another corpus's columns.
+	// sealed guards an Extractor's baseline rows, which every round
+	// shares: writes below it panic.
 	sealed int
 
 	// effectPruned counts predicates removed by DropPure (the
@@ -312,14 +312,6 @@ func (c *Corpus) AddPred(p Predicate) Handle {
 	c.Preds = append(c.Preds, p)
 	c.cols = append(c.cols, column{last: -1})
 	return h
-}
-
-// Has reports whether a predicate with the given ID is registered.
-// Extractors use it to skip re-building predicate metadata (notably
-// description strings) for IDs they have already emitted.
-func (c *Corpus) Has(id ID) bool {
-	_, ok := c.byID[id]
-	return ok
 }
 
 // HandleOf interns an ID: it returns the predicate's dense handle.
@@ -361,7 +353,7 @@ func (c *Corpus) FailedCount() int { return c.nFail }
 // Log returns the view of execution row i.
 func (c *Corpus) Log(i int) ExecLog { return ExecLog{c: c, row: int32(i)} }
 
-// AddRow appends one execution row (streaming ingest) and returns its
+// AddRow appends one execution row and returns its
 // index. Occurrences are then recorded with SetOcc.
 func (c *Corpus) AddRow(execID string, failed bool) int {
 	row := len(c.execIDs)
@@ -404,8 +396,8 @@ func (c *Corpus) SetOcc(row int, h Handle, occ Occurrence) {
 }
 
 // AddLog appends one execution row from its row-oriented form — the
-// streaming ingest entry used by the codec, tests, and offline corpora.
-// Every occurrence's predicate must already be registered.
+// row-at-a-time ingest entry used by the corpus-scaling benchmark and
+// tests. Every occurrence's predicate must already be registered.
 func (c *Corpus) AddLog(execID string, failed bool, occ map[ID]Occurrence) int {
 	row := c.AddRow(execID, failed)
 	for id, o := range occ {
@@ -573,50 +565,6 @@ func allMethodsPure(p *Predicate, pure func(method string) bool) bool {
 // from this corpus.
 func (c *Corpus) EffectPruned() int { return c.effectPruned }
 
-// deriveSealed returns a corpus that shares this one's rows and columns
-// as an immutable prefix, sized to take extraRows appended rows — the
-// zero-copy round template of predicate.Extractor. Shared occurrence
-// arrays are full-capped so any append reallocates (copy-on-write); the
-// per-column row bitmaps are cloned (a few words each, since appended
-// row bits can land in a shared trailing word). Writes into the shared
-// prefix panic via the sealed guard.
-func (c *Corpus) deriveSealed(extraRows int) *Corpus {
-	n := c.NumLogs()
-	d := &Corpus{
-		Preds:      append([]Predicate(nil), c.Preds...),
-		byID:       make(map[ID]Handle, len(c.byID)+8),
-		cols:       make([]column, len(c.cols)),
-		execIDs:    c.execIDs[:n:n],
-		failedRows: c.failedRows.CloneCap(n + extraRows),
-		failOrd:    c.failOrd[:n:n],
-		nFail:      c.nFail,
-		sealed:     n,
-	}
-	for id, h := range c.byID {
-		d.byID[id] = h
-	}
-	for i := range c.cols {
-		b := &c.cols[i]
-		d.cols[i] = column{
-			rows:    b.rows.Clone(),
-			occs:    b.occs[:len(b.occs):len(b.occs)],
-			last:    b.last,
-			failCnt: b.failCnt,
-		}
-	}
-	d.partFail = make([]ExecLog, 0, c.nFail+extraRows)
-	d.partSucc = make([]ExecLog, 0, n-c.nFail)
-	for row := 0; row < n; row++ {
-		v := ExecLog{c: d, row: int32(row)}
-		if d.failedRows.Has(row) {
-			d.partFail = append(d.partFail, v)
-		} else {
-			d.partSucc = append(d.partSucc, v)
-		}
-	}
-	return d
-}
-
 // FailureID is the ID of the distinguished failure predicate F.
 const FailureID ID = "FAILURE"
 
@@ -677,9 +625,8 @@ func (c *Corpus) MaterializeCompound(p Predicate) {
 }
 
 // MaterializeCompoundFrom is MaterializeCompound restricted to rows
-// [from, NumLogs()). Use it when the earlier rows are shared with a
-// cached extraction template (predicate.Extractor) and must stay
-// unwritten. The membership test is a word-parallel AND of the member
+// [from, NumLogs()). Use it when the earlier rows are an Extractor's
+// sealed baseline prefix and must stay unwritten. The membership test is a word-parallel AND of the member
 // bitmaps; windows are merged in one pass per member.
 func (c *Corpus) MaterializeCompoundFrom(p Predicate, from int) {
 	h := c.AddPred(p)

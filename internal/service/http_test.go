@@ -306,6 +306,35 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown spec field: HTTP %d, want 400", resp.StatusCode)
 	}
+	// Numeric spec fields outside [0, cap] are refused with 400 before
+	// any session is created.
+	for _, body := range []string{
+		`{"study":"npgsql","successes":-1}`,
+		`{"study":"npgsql","successes":10001}`,
+		`{"study":"npgsql","failures":-1}`,
+		`{"study":"npgsql","failures":10001}`,
+		`{"study":"npgsql","seedCap":-1}`,
+		`{"study":"npgsql","seedCap":1000001}`,
+		`{"study":"npgsql","replays":-1}`,
+		`{"study":"npgsql","replays":1001}`,
+		`{"study":"npgsql","compounds":-1}`,
+		`{"study":"npgsql","compounds":10001}`,
+		`{"study":"npgsql","workers":-1}`,
+		`{"study":"npgsql","workers":1025}`,
+		`{"study":"npgsql","timeoutMs":-1}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/tenants/acme/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := len(m.Sessions("acme")); n != 0 {
+		t.Errorf("refused specs created %d sessions", n)
+	}
 	// An oversized spec is refused with 413, not decoded into memory.
 	big := `{"study":"` + strings.Repeat("x", 1<<17) + `"}`
 	resp, err = http.Post(srv.URL+"/v1/tenants/acme/sessions", "application/json", strings.NewReader(big))

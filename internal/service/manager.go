@@ -29,9 +29,9 @@ type Config struct {
 	// sessions; admission beyond it fails with SaturatedError — the
 	// daemon never queues unboundedly (default 8).
 	TenantCap int
-	// SessionTimeout is the default per-session lifetime cap, queue
-	// wait included (default 5m). SessionSpec.TimeoutMS overrides per
-	// session.
+	// SessionTimeout caps each session's lifetime, queue wait included
+	// (default 5m). SessionSpec.TimeoutMS can shorten it per session,
+	// never extend it.
 	SessionTimeout time.Duration
 	// RetryAfter is the backoff hint attached to SaturatedError and the
 	// HTTP Retry-After header (default 1s).
@@ -331,6 +331,9 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 	if err := ValidateName("tenant", tenant); err != nil {
 		return nil, err
 	}
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	source, err := m.resolveSource(tenant, spec)
 	if err != nil {
 		return nil, err
@@ -356,8 +359,8 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 	id := fmt.Sprintf("s-%06d", m.seq)
 
 	timeout := m.cfg.SessionTimeout
-	if spec.TimeoutMS > 0 {
-		timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
+	if ms := spec.TimeoutMS; ms > 0 && ms < timeout.Milliseconds() {
+		timeout = time.Duration(ms) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(m.baseCtx, timeout)
 	s := &Session{
@@ -548,7 +551,6 @@ func (m *Manager) finish(s *Session, rep *aid.Report, err error) {
 		cacheJS = s.reportJS
 	}
 	s.mu.Unlock()
-	close(s.done)
 
 	m.mu.Lock()
 	ts := m.tenants[s.tenant]
@@ -563,6 +565,10 @@ func (m *Manager) finish(s *Session, rep *aid.Report, err error) {
 	m.terminal++
 	m.pruneLocked()
 	m.mu.Unlock()
+	// Done fires last: a client that resubmits as soon as it sees the
+	// session end must find its admission slot freed and its result
+	// cached.
+	close(s.done)
 }
 
 // finishCached records the terminal state of a session served from the
@@ -577,7 +583,6 @@ func (m *Manager) finishCached(s *Session, cached *cachedResult) {
 	s.report = cached.report.Detach()
 	s.reportJS = cached.reportJS
 	s.mu.Unlock()
-	close(s.done)
 
 	m.mu.Lock()
 	if ts := m.tenants[s.tenant]; ts != nil {
@@ -586,6 +591,7 @@ func (m *Manager) finishCached(s *Session, cached *cachedResult) {
 	m.terminal++
 	m.pruneLocked()
 	m.mu.Unlock()
+	close(s.done) // last, as in finish
 }
 
 // storeResultLocked retains a completed session's outcome in the

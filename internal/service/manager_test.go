@@ -225,6 +225,25 @@ func TestManagerTimeout(t *testing.T) {
 	}
 }
 
+// TestManagerTimeoutOnlyShortens: a client-set TimeoutMS above the
+// operator's SessionTimeout does not extend the session's lifetime.
+func TestManagerTimeoutOnlyShortens(t *testing.T) {
+	m := NewManager(Config{SessionBudget: 2, TenantCap: 4, SessionTimeout: 100 * time.Millisecond})
+	defer m.Close()
+	s, err := m.Start("acme", SessionSpec{Source: newBlockingSource(), TimeoutMS: (10 * time.Minute).Milliseconds()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.Done():
+	case <-time.After(time.Second):
+		t.Fatal("session outlived the 100ms SessionTimeout")
+	}
+	if err := s.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("want DeadlineExceeded, got %v", err)
+	}
+}
+
 // TestManagerPanicContainment: a panicking session fails alone — its
 // sibling (same manager, different session) completes normally and the
 // manager keeps serving.

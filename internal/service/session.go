@@ -39,7 +39,8 @@ type SessionSpec struct {
 	Corpus string `json:"corpus,omitempty"`
 
 	// Successes/Failures/SeedCap/Replays/Seed/Compounds/Workers and
-	// Variant mirror the aid.Pipeline options of the same names.
+	// Variant mirror the aid.Pipeline options of the same names. All
+	// but Seed must lie in [0, cap] (see the spec caps below).
 	Successes int    `json:"successes,omitempty"`
 	Failures  int    `json:"failures,omitempty"`
 	SeedCap   int    `json:"seedCap,omitempty"`
@@ -50,7 +51,8 @@ type SessionSpec struct {
 	Variant   string `json:"variant,omitempty"`
 
 	// TimeoutMS caps the session's total lifetime (queue wait included)
-	// in milliseconds; 0 uses the manager's default.
+	// in milliseconds. It can only shorten the manager's
+	// Config.SessionTimeout; 0 uses that default.
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 	// NoShare opts the session out of the tenant's cross-session
 	// scheduler memo (see Manager).
@@ -60,6 +62,42 @@ type SessionSpec struct {
 	// (custom workloads, fault injection); not reachable over HTTP.
 	// Sessions with a custom source never share a scheduler.
 	Source aid.TraceSource `json:"-"`
+}
+
+// Spec caps: the largest value each numeric SessionSpec field may
+// take. Without them one request could hold a session slot without
+// limit.
+const (
+	maxSpecSuccesses = 10_000
+	maxSpecFailures  = 10_000
+	maxSpecSeedCap   = 1_000_000
+	maxSpecReplays   = 1_000
+	maxSpecCompounds = 10_000
+	maxSpecWorkers   = 1_024
+)
+
+// validate refuses a spec whose numeric fields are negative or above
+// their caps.
+func (sp SessionSpec) validate() error {
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"successes", sp.Successes, maxSpecSuccesses},
+		{"failures", sp.Failures, maxSpecFailures},
+		{"seedCap", sp.SeedCap, maxSpecSeedCap},
+		{"replays", sp.Replays, maxSpecReplays},
+		{"compounds", sp.Compounds, maxSpecCompounds},
+		{"workers", sp.Workers, maxSpecWorkers},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return validationf("service: session spec %s = %d is outside [0, %d]", f.name, f.v, f.max)
+		}
+	}
+	if sp.TimeoutMS < 0 {
+		return validationf("service: session spec timeoutMs = %d is negative", sp.TimeoutMS)
+	}
+	return nil
 }
 
 // shareKey fingerprints everything that determines intervention

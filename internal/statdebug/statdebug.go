@@ -134,25 +134,6 @@ func FullyDiscriminative(c *predicate.Corpus) []predicate.ID {
 	return out
 }
 
-// CountFully returns the number of fully-discriminative predicates
-// without sorting or allocating the ID list — the O(P) live metric a
-// streaming ingest reads after every appended row.
-func CountFully(c *predicate.Corpus) int {
-	if c.NumLogs()-c.FailedCount() == 0 || c.FailedCount() == 0 {
-		return 0
-	}
-	n := 0
-	for h := 0; h < c.NumPreds(); h++ {
-		if c.PredAt(predicate.Handle(h)).ID == predicate.FailureID {
-			continue
-		}
-		if fullyAt(c, predicate.Handle(h)) {
-			n++
-		}
-	}
-	return n
-}
-
 // GenerateCompounds finds pairs of partially-discriminative predicates
 // whose conjunction is fully discriminative, materializes them in the
 // corpus, and returns the new predicates. This is the paper's modeling

@@ -48,7 +48,6 @@ type Pipeline struct {
 	variant   Variant
 	workers   int
 	observer  Observer
-	streaming bool
 	effects   bool
 	noise     *NoiseTolerance
 	shared    *SharedScheduler
@@ -305,14 +304,6 @@ func WithEffectAnalysis(on bool) Option {
 	return func(p *Pipeline) { p.effects = on }
 }
 
-// WithStreamingExtract makes Extract ingest the corpus one execution
-// row at a time, firing incremental Ranked events as the maintained
-// scores evolve (rank-as-you-ingest). Analysis results are identical
-// to the batch path; see Pipeline.ExtractStream.
-func WithStreamingExtract(on bool) Option {
-	return func(p *Pipeline) { p.streaming = on }
-}
-
 // New builds a Pipeline with the paper's defaults: a 50+50 corpus
 // within 4000 seeds, 5 replays per round, seed 1, the full AID variant.
 func New(opts ...Option) *Pipeline {
@@ -399,12 +390,8 @@ func (p *Pipeline) Collect(ctx context.Context, src TraceSource) (*Traces, error
 }
 
 // Extract evaluates the predicate vocabulary over the corpus,
-// materializing compound predicates when configured. With
-// WithStreamingExtract it delegates to ExtractStream.
+// materializing compound predicates when configured.
 func (p *Pipeline) Extract(tr *Traces) *Corpus {
-	if p.streaming {
-		return p.ExtractStream(tr)
-	}
 	an := p.applyEffects(tr)
 	corpus := predicate.Extract(tr.Set, tr.Config)
 	if p.compounds > 0 {
@@ -456,41 +443,6 @@ func (p *Pipeline) emitEffects(an *effects.Analysis, corpus *Corpus) {
 		}
 	}
 	p.emit(ev)
-}
-
-// ExtractStream is Extract's rank-as-you-ingest path: execution rows
-// stream into the columnar corpus one at a time, and incremental Ranked
-// events report the live fully-discriminative count as the maintained
-// scores evolve (about twenty progress events per corpus). The
-// resulting corpus yields the same scores, candidate sets, and AC-DAG
-// as the batch path — only the predicate registration order differs
-// (first occurrence instead of phase order), which no analysis output
-// observes.
-func (p *Pipeline) ExtractStream(tr *Traces) *Corpus {
-	an := p.applyEffects(tr)
-	total := len(tr.Set.Executions)
-	every := total / 20
-	if every < 1 {
-		every = 1
-	}
-	corpus := predicate.ExtractStream(tr.Set, tr.Config, func(row int, c *Corpus) {
-		if p.observer == nil {
-			return
-		}
-		if (row+1)%every == 0 || row == total-1 {
-			p.emit(Ranked{
-				FullyDiscriminative: statdebug.CountFully(c),
-				RowsIngested:        row + 1,
-				RowsTotal:           total,
-			})
-		}
-	})
-	if p.compounds > 0 {
-		statdebug.GenerateCompounds(corpus, p.compounds)
-	}
-	p.emitEffects(an, corpus)
-	p.emit(PredicatesExtracted{Total: len(corpus.Preds)})
-	return corpus
 }
 
 // Ranking is the statistical-debugging stage's output: the
