@@ -272,7 +272,9 @@ func Run(ctx context.Context, s *Study, rc RunConfig) (*Report, error) {
 	}
 
 	// TAGT runs on the same safely-intervenable candidate pool with the
-	// same intervention oracle, but no DAG knowledge.
+	// same re-execution oracle, but no DAG knowledge. It needs only each
+	// group's verdict, so it asks Executor.Stops, which ends a test at
+	// its first failing replay and skips observation extraction.
 	var pool []predicate.ID
 	noPath := 0
 	for _, id := range dag.Nodes() {
@@ -284,19 +286,9 @@ func Run(ctx context.Context, s *Study, rc RunConfig) (*Report, error) {
 			noPath++
 		}
 	}
-	oracle := func(group []predicate.ID) (bool, error) {
-		obs, err := exec.Intervene(ctx, group)
-		if err != nil {
-			return false, err
-		}
-		for _, o := range obs {
-			if o.Failed {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	tagtRes, err := grouptest.Adaptive(pool, oracle, rc.Seed)
+	tagtRes, err := grouptest.Adaptive(pool, func(group []predicate.ID) (bool, error) {
+		return exec.Stops(ctx, group)
+	}, rc.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("casestudy %s: TAGT: %w", s.Name, err)
 	}

@@ -12,6 +12,7 @@ package inject
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -25,7 +26,8 @@ import (
 
 // PlanFor builds the sim.Plan that simultaneously repairs the given
 // predicates. Predicates must exist in the corpus and carry a usable
-// repair (Kind != IvNone).
+// repair (Kind != IvNone). Each predicate's sub-plan is merged into one
+// accumulator in place, so the cost is linear in the group size.
 func PlanFor(c *predicate.Corpus, preds []predicate.ID) (sim.Plan, error) {
 	plan := sim.Plan{}
 	for _, id := range preds {
@@ -37,7 +39,7 @@ func PlanFor(c *predicate.Corpus, preds []predicate.ID) (sim.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan = plan.Merge(sub)
+		plan.Merge(sub)
 	}
 	return plan, nil
 }
@@ -87,7 +89,7 @@ func planForIntervention(tag string, iv predicate.Intervention) (sim.Plan, error
 			if err != nil {
 				return nil, err
 			}
-			plan = plan.Merge(sub)
+			plan.Merge(sub)
 		}
 	default:
 		return nil, fmt.Errorf("inject: unknown intervention kind %d for %s", iv.Kind, tag)
@@ -99,6 +101,8 @@ func planForIntervention(tag string, iv predicate.Intervention) (sim.Plan, error
 // re-executes the program under the merged injection plan for every
 // replay seed, re-extracts predicates against the original success
 // baselines, and reports which candidate predicates were observed.
+// Stops is its verdict-only form, for callers (the TAGT baseline) that
+// need only whether the failure stopped.
 type Executor struct {
 	// Prog is the application under debugging.
 	Prog *sim.Program
@@ -130,15 +134,12 @@ type Executor struct {
 	// consumed in seed order, so observations are identical for any
 	// width.
 	Workers int
-	// RunsUsed counts total re-executions across rounds (for reporting).
-	// Guarded by mu.
-	RunsUsed int
 	// Missed counts replays that produced no observation because their
 	// (plan, seed) pair panicked, blew the wall budget, or was already
-	// quarantined. Guarded by mu, like RunsUsed.
+	// quarantined. Guarded by mu.
 	Missed int
 
-	// mu serializes the executor's mutable state (RunsUsed, the lazily
+	// mu serializes the executor's mutable state (Missed, the lazily
 	// built extractor, and the extraction post-pass, whose cached
 	// baseline structures are not written concurrently). Replays
 	// themselves are pure and run outside the lock.
@@ -218,21 +219,21 @@ func (e *Executor) addQuarantine(group []predicate.ID, seed int64, err error) {
 // at exact (group, seed) coordinates.
 var replayHook func(group []predicate.ID, seed int64)
 
-// runOne executes one guarded replay. Every inject replay routes
+// guard runs one replay under containment. Every inject replay routes
 // through here: a panic anywhere inside — the hook, plan compilation
 // quirks surfacing at run time, or the engine itself — is recovered
 // into an error instead of escaping through par.Map as a process-level
 // round failure.
-func (e *Executor) runOne(pp *sim.Prepared, group []predicate.ID, seed int64) (exec trace.Execution, err error) {
+func (e *Executor) guard(group []predicate.ID, seed int64, replay func(sim.Budget) error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			exec, err = trace.Execution{}, &sim.ReplayPanicError{Seed: seed, Value: rec}
+			err = &sim.ReplayPanicError{Seed: seed, Value: rec}
 		}
 	}()
 	if h := replayHook; h != nil {
 		h(group, seed)
 	}
-	return pp.RunGuarded(seed, sim.Budget{MaxSteps: e.MaxSteps, WallClock: e.WallBudget})
+	return replay(sim.Budget{MaxSteps: e.MaxSteps, WallClock: e.WallBudget})
 }
 
 // replayResult is one seed's replay outcome: an execution, or a
@@ -268,7 +269,11 @@ func (e *Executor) Intervene(ctx context.Context, preds []predicate.ID) ([]core.
 		if e.isQuarantined(preds, seed) {
 			return replayResult{missed: true}, nil
 		}
-		exec, rerr := e.runOne(pp, preds, seed)
+		var exec trace.Execution
+		rerr := e.guard(preds, seed, func(b sim.Budget) (err error) {
+			exec, err = pp.RunGuarded(seed, b)
+			return err
+		})
 		if rerr != nil {
 			e.addQuarantine(preds, seed, rerr)
 			return replayResult{missed: true}, nil
@@ -303,9 +308,106 @@ func (e *Executor) Intervene(ctx context.Context, preds []predicate.ID) ([]core.
 		// evidence to observe, and retrying cannot produce any. The
 		// round fails (the robust layer reports it; discovery returns
 		// its partial result) rather than fabricating an outcome.
-		return nil, fmt.Errorf("inject: every replay of group %v is quarantined", preds)
+		return nil, errAllQuarantined(preds)
 	}
 	return e.observe(execs, preds)
+}
+
+func errAllQuarantined(preds []predicate.ID) error {
+	return fmt.Errorf("inject: every replay of group %v is quarantined", preds)
+}
+
+// isFailure reports whether a replay outcome is this executor's
+// failure: a failed run whose signature matches FailureSig (any
+// signature when FailureSig is empty).
+func (e *Executor) isFailure(failed bool, sig string) bool {
+	return failed && (e.FailureSig == "" || sig == e.FailureSig)
+}
+
+// errQuarantined marks a Stops replay skipped because its (plan, seed)
+// pair was quarantined by an earlier call.
+var errQuarantined = errors.New("inject: replay quarantined")
+
+// failedReplay ends a Stops sweep: the replay of seed index i failed
+// with the executor's failure signature.
+type failedReplay struct{ i int }
+
+func (failedReplay) Error() string { return "inject: replay failed" }
+
+// Stops is the verdict-only form of Intervene, the oracle of the TAGT
+// baseline: it reports whether forcing the group stops the failure,
+// i.e. whether no replay fails with FailureSig. That is exactly
+// "no observation of Intervene(preds) has Failed", but it is reached
+// without assembling traces, extracting predicates or building
+// observations, and the sweep ends at the first failing replay in seed
+// order: par.Map stops claiming seeds at the first error and reports
+// the lowest-index one, so the verdict is the same at any pool width.
+//
+// Quarantine and the wall budget act as in Intervene. Missed and the
+// quarantine account only for the replays a sequential sweep would
+// have run (those before the first failing one), in seed order, so they
+// too are independent of the pool width. If every replay is
+// quarantined, Stops returns Intervene's error.
+func (e *Executor) Stops(ctx context.Context, preds []predicate.ID) (bool, error) {
+	plan, err := PlanFor(e.Corpus, preds)
+	if err != nil {
+		return false, err
+	}
+	pp, err := sim.Prepare(e.Prog, plan)
+	if err != nil {
+		return false, fmt.Errorf("inject: re-execution: %w", err)
+	}
+	// missed[i] is why seed i produced no verdict (nil if it did). Each
+	// slot is written only by the worker that ran seed i and read after
+	// the sweep.
+	missed := make([]error, len(e.Seeds))
+	_, err = par.Map(ctx, len(e.Seeds), e.Workers, func(i int) (struct{}, error) {
+		seed := e.Seeds[i]
+		if e.isQuarantined(preds, seed) {
+			missed[i] = errQuarantined
+			return struct{}{}, nil
+		}
+		var failed bool
+		var sig string
+		if rerr := e.guard(preds, seed, func(b sim.Budget) (err error) {
+			failed, sig, err = pp.RunVerdict(seed, b)
+			return err
+		}); rerr != nil {
+			missed[i] = rerr
+			return struct{}{}, nil
+		}
+		if e.isFailure(failed, sig) {
+			return struct{}{}, failedReplay{i}
+		}
+		return struct{}{}, nil
+	})
+	// par.Map returns the lowest-index task error unwrapped.
+	cut := len(e.Seeds)
+	if fr, ok := err.(failedReplay); ok {
+		cut = fr.i
+	} else if err != nil {
+		return false, fmt.Errorf("inject: re-execution: %w", err)
+	}
+	n := 0
+	for i, merr := range missed[:cut] {
+		if merr == nil {
+			continue
+		}
+		if merr != errQuarantined {
+			e.addQuarantine(preds, e.Seeds[i], merr)
+		}
+		n++
+	}
+	e.mu.Lock()
+	e.Missed += n
+	e.mu.Unlock()
+	if cut < len(e.Seeds) {
+		return false, nil
+	}
+	if n == len(e.Seeds) {
+		return false, errAllQuarantined(preds)
+	}
+	return true, nil
 }
 
 // watch is one SD-corpus predicate interned against the replay corpus:
@@ -322,9 +424,7 @@ func (e *Executor) observe(execs []trace.Execution, preds []predicate.ID) ([]cor
 	failed := e.failedScratch[:0]
 	for i := range execs {
 		exec := &execs[i]
-		e.RunsUsed++
-		isF := exec.Failed() && (e.FailureSig == "" || exec.FailureSig == e.FailureSig)
-		failed = append(failed, isF)
+		failed = append(failed, e.isFailure(exec.Failed(), exec.FailureSig))
 		// Replays must not contribute to the success baselines that
 		// define duration/return-value predicates — an intervened run
 		// that happens to succeed would otherwise dilute the baselines

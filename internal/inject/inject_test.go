@@ -224,9 +224,6 @@ func TestExecutorStopsFailureOnCausalIntervention(t *testing.T) {
 			t.Fatal("slow:Slow#0 should still be observed while the failure stops")
 		}
 	}
-	if exec.RunsUsed != 4 {
-		t.Fatalf("RunsUsed = %d, want 4", exec.RunsUsed)
-	}
 }
 
 func TestExecutorKeepsFailureOnSpuriousIntervention(t *testing.T) {
@@ -261,8 +258,7 @@ func TestExecutorUnknownPredicate(t *testing.T) {
 
 // TestExecutorWorkersMatchSequential pins Intervene's pool contract:
 // replaying a group's seeds across a wide pool produces exactly the
-// observations a single worker does, with replays accounted
-// identically.
+// observations a single worker does.
 func TestExecutorWorkersMatchSequential(t *testing.T) {
 	_, corpus, exec := executorFixture(t)
 	exec.Workers = 1
@@ -294,8 +290,5 @@ func TestExecutorWorkersMatchSequential(t *testing.T) {
 		if !reflect.DeepEqual(want[i], got) {
 			t.Fatalf("group %v: observations differ between 1 and 8 workers", g)
 		}
-	}
-	if wide.RunsUsed != exec.RunsUsed {
-		t.Fatalf("RunsUsed = %d, want %d", wide.RunsUsed, exec.RunsUsed)
 	}
 }

@@ -54,10 +54,16 @@ func TestEquivalenceHandWrittenPrograms(t *testing.T) {
 	for _, p := range progs {
 		assertEngineParity(t, p, seeds, nil, 0)
 	}
-	// Injected variants of the racy program: the Fig. 2 intervention
-	// vocabulary, one mechanism at a time and all merged.
+	for _, plan := range racyPlans() {
+		assertEngineParity(t, racyProgram(), seeds, plan, 0)
+	}
+}
+
+// racyPlans are the injected variants of the racy program: the Fig. 2
+// intervention vocabulary, one mechanism at a time and all merged.
+func racyPlans() []Plan {
 	seven := int64(7)
-	plans := []Plan{
+	return []Plan{
 		{"Worker": {GlobalLocks: []string{"inj"}}},
 		{"Worker": {DelayStart: 3, DelayReturn: 5}},
 		{"Worker": {ForceReturnVoid: true}},
@@ -68,12 +74,16 @@ func TestEquivalenceHandWrittenPrograms(t *testing.T) {
 			"Main":   {WaitBefore: nil, DelayReturn: 1},
 		},
 	}
-	for _, plan := range plans {
-		assertEngineParity(t, racyProgram(), seeds, plan, 0)
-	}
 }
 
 func TestEquivalenceOrderInjection(t *testing.T) {
+	p, plan := orderProgram()
+	assertEngineParity(t, p, []int64{0, 1, 2, 3, 4, 5}, plan, 0)
+}
+
+// orderProgram is a two-thread write/read program with the
+// order-enforcing plan that serializes the write before the read.
+func orderProgram() (*Program, Plan) {
 	p := NewProgram("order", "Main")
 	p.Globals["g"] = 0
 	p.AddFunc("A", WriteGlobal{Var: "g", Src: Lit(1)})
@@ -84,11 +94,10 @@ func TestEquivalenceOrderInjection(t *testing.T) {
 		Join{Thread: V("ta")},
 		Join{Thread: V("tb")},
 	)
-	plan := Plan{
+	return p, Plan{
 		"A": {SignalAfter: []Signal{{Var: "aid.order:t", Val: 1}}},
 		"B": {WaitBefore: []Signal{{Var: "aid.order:t", Val: 1}}},
 	}
-	assertEngineParity(t, p, []int64{0, 1, 2, 3, 4, 5}, plan, 0)
 }
 
 // genProgram builds a random structured program: nested control flow,

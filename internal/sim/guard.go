@@ -15,6 +15,11 @@
 // wall-clock check short-circuits on the unset deadline, so the
 // deterministic pipeline can route every replay through the guard
 // without perturbing its traces.
+//
+// RunVerdict shares RunGuarded's containment but stops after the run:
+// it returns only the failure bit and signature and never assembles the
+// trace, for callers (the TAGT oracle) that ask only whether a replay
+// failed.
 package sim
 
 import (
@@ -66,7 +71,24 @@ func (e *BudgetError) Error() string {
 // with fault containment (see the package-file comment). The returned
 // error is nil, a *ReplayPanicError, or a *BudgetError; the execution
 // is valid only when the error is nil.
-func (pp *Prepared) RunGuarded(seed int64, b Budget) (exec trace.Execution, err error) {
+func (pp *Prepared) RunGuarded(seed int64, b Budget) (trace.Execution, error) {
+	exec, _, _, err := pp.runGuarded(seed, b, true)
+	return exec, err
+}
+
+// RunVerdict is RunGuarded for callers that need only the outcome: it
+// reports whether the replay failed and with which signature — exactly
+// RunGuarded's (exec.Failed(), exec.FailureSig) — without assembling
+// the trace. Containment and errors are RunGuarded's.
+func (pp *Prepared) RunVerdict(seed int64, b Budget) (failed bool, failSig string, err error) {
+	_, failed, failSig, err = pp.runGuarded(seed, b, false)
+	return failed, failSig, err
+}
+
+// runGuarded is the guarded core of RunGuarded and RunVerdict: it runs
+// the replay to completion and reads its outcome off the machine,
+// assembling the execution only when build is set.
+func (pp *Prepared) runGuarded(seed int64, b Budget, build bool) (exec trace.Execution, failed bool, failSig string, err error) {
 	maxSteps := b.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
@@ -77,7 +99,7 @@ func (pp *Prepared) RunGuarded(seed int64, b Budget) (exec trace.Execution, err 
 		if rec := recover(); rec != nil {
 			// The machine's invariants are unknown after a panic: leak
 			// it to the collector rather than poisoning the pool.
-			exec = trace.Execution{}
+			exec, failed, failSig = trace.Execution{}, false, ""
 			err = &ReplayPanicError{Seed: seed, Value: rec}
 		} else if !pooled {
 			m.pp = nil
@@ -91,16 +113,16 @@ func (pp *Prepared) RunGuarded(seed int64, b Budget) (exec trace.Execution, err 
 	m.pushCall(m.newThread(), pp.c.entryFn, -1, -1)
 	m.loop(maxSteps)
 	if m.failSig == SigBudget {
-		m.pp = nil
-		m.wallDeadline = time.Time{}
-		machinePool.Put(m)
-		pooled = true
-		return trace.Execution{}, &BudgetError{Seed: seed, Budget: b.WallClock}
+		err = &BudgetError{Seed: seed, Budget: b.WallClock}
+	} else {
+		failed, failSig = m.failed, m.failSig
+		if build {
+			exec = m.buildExecution(seed)
+		}
 	}
-	exec = m.buildExecution(seed)
 	m.pp = nil
 	m.wallDeadline = time.Time{}
 	machinePool.Put(m)
 	pooled = true
-	return exec, nil
+	return exec, failed, failSig, err
 }

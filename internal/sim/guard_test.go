@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -98,5 +99,79 @@ func TestRunGuardedZeroBudgetByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: guarded execution differs from Run", seed)
 		}
+	}
+}
+
+// TestVerdictMatchesRunGuarded pins RunVerdict to RunGuarded: on the
+// equivalence-test programs and plans — including runs that deadlock,
+// hang and crash — the verdict is RunGuarded's (exec.Failed(),
+// exec.FailureSig), and a blown wall budget or a panic yields the same
+// *BudgetError or *ReplayPanicError.
+func TestVerdictMatchesRunGuarded(t *testing.T) {
+	check := func(t *testing.T, p *Program, plan Plan, seeds []int64, b Budget) {
+		t.Helper()
+		pp, err := Prepare(p, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range seeds {
+			exec, gerr := pp.RunGuarded(seed, b)
+			failed, sig, verr := pp.RunVerdict(seed, b)
+			if !reflect.DeepEqual(verr, gerr) {
+				t.Fatalf("%s seed %d: verdict error %v, guarded error %v", p.Name, seed, verr, gerr)
+			}
+			if failed != exec.Failed() || sig != exec.FailureSig {
+				t.Fatalf("%s seed %d: verdict (%v, %q), guarded (%v, %q)",
+					p.Name, seed, failed, sig, exec.Failed(), exec.FailureSig)
+			}
+		}
+	}
+	seeds := []int64{0, 1, 2, 3, 7, 42, 97}
+	for _, p := range []*Program{sequentialProgram(), racyProgram(), batchProgram()} {
+		check(t, p, nil, seeds, Budget{})
+	}
+	for _, plan := range racyPlans() {
+		check(t, racyProgram(), plan, seeds, Budget{})
+	}
+	order, plan := orderProgram()
+	check(t, order, nil, seeds, Budget{})
+	check(t, order, plan, seeds, Budget{})
+
+	r := rand.New(rand.NewSource(20260728))
+	failures := 0
+	for i := 0; i < 40; i++ {
+		p := genProgram(r, i)
+		check(t, p, nil, []int64{1, 2, 3}, Budget{MaxSteps: 2000})
+		check(t, p, genPlan(r, p), []int64{1, 2}, Budget{MaxSteps: 2000})
+		pp, err := Prepare(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed, _, _ := pp.RunVerdict(1, Budget{MaxSteps: 2000}); failed {
+			failures++
+		}
+	}
+	if failures == 0 {
+		t.Fatal("no generated program failed: the failing verdict path is untested")
+	}
+
+	// Contained errors: a blown wall budget and a panic.
+	check(t, guardSpinProgram(), nil, []int64{1}, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond})
+	pp, err := Prepare(guardSpinProgram(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var be *BudgetError
+	if _, _, err := pp.RunVerdict(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}); !errors.As(err, &be) {
+		t.Fatalf("verdict under 1ns budget: got %T (%v), want *BudgetError", err, err)
+	}
+	check(t, guardPanicProgram(), nil, []int64{1, 2}, Budget{})
+	pp, err = Prepare(guardPanicProgram(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *ReplayPanicError
+	if _, _, err := pp.RunVerdict(2, Budget{}); !errors.As(err, &pe) || pe.Seed != 2 {
+		t.Fatalf("verdict of panicking replay: got %T (%v), want *ReplayPanicError for seed 2", err, err)
 	}
 }

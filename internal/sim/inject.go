@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 
 	"aid/internal/trace"
@@ -62,18 +63,21 @@ type Signal struct {
 // Plan maps method names to their injections for one intervened run.
 type Plan map[string]MethodInjection
 
-// Merge combines two plans; same-method entries compose: locks, waits
-// and signals accumulate, delays take the maximum, and scalar overrides
-// from other win.
-func (p Plan) Merge(other Plan) Plan {
-	out := make(Plan, len(p)+len(other))
-	for m, inj := range p {
-		out[m] = inj
-	}
+// Merge folds other into p in place; same-method entries compose:
+// locks, waits and signals accumulate, delays take the maximum, and
+// scalar overrides from other win. Merge writes only its receiver: a
+// slice it stores in p from other is cloned first, so other is never
+// aliased and never written, by this merge or a later one into p.
+// Being a mutation, it must not target a plan already used in a run
+// (see Prepare).
+func (p Plan) Merge(other Plan) {
 	for m, inj := range other {
-		base, ok := out[m]
+		base, ok := p[m]
 		if !ok {
-			out[m] = inj
+			inj.GlobalLocks = slices.Clone(inj.GlobalLocks)
+			inj.WaitBefore = slices.Clone(inj.WaitBefore)
+			inj.SignalAfter = slices.Clone(inj.SignalAfter)
+			p[m] = inj
 			continue
 		}
 		base.GlobalLocks = appendUniqueStrings(base.GlobalLocks, inj.GlobalLocks)
@@ -98,9 +102,8 @@ func (p Plan) Merge(other Plan) Plan {
 		}
 		base.WaitBefore = appendUniqueSignals(base.WaitBefore, inj.WaitBefore)
 		base.SignalAfter = appendUniqueSignals(base.SignalAfter, inj.SignalAfter)
-		out[m] = base
+		p[m] = base
 	}
-	return out
 }
 
 // appendUniqueStrings merges src into dst, deduplicated and sorted:

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"aid/internal/trace"
@@ -223,7 +224,8 @@ func TestPlanMerge(t *testing.T) {
 	v := int64(1)
 	a := Plan{"M": {DelayStart: 10}, "N": {GlobalLocks: []string{"x"}}}
 	b := Plan{"M": {DelayStart: 5, ForceReturn: &v}, "O": {CatchExceptions: true}}
-	m := a.Merge(b)
+	a.Merge(b)
+	m := a
 	if len(m) != 3 {
 		t.Fatalf("merged plan has %d entries, want 3", len(m))
 	}
@@ -235,6 +237,42 @@ func TestPlanMerge(t *testing.T) {
 	}
 	if len(m["N"].GlobalLocks) != 1 || m["N"].GlobalLocks[0] != "x" || !m["O"].CatchExceptions {
 		t.Fatal("merge lost disjoint entries")
+	}
+}
+
+// TestPlanMergeSpareCapacity pins Merge's aliasing contract with spare
+// capacity on both sides: the receiver's entries grow, while other's
+// slices — including their spare capacity — are written neither by the
+// merge nor by a later merge into the receiver.
+func TestPlanMergeSpareCapacity(t *testing.T) {
+	spare := func(s ...string) []string { return append(make([]string, 0, 4), s...) }
+	recv := Plan{"m": {GlobalLocks: spare("b")}}
+	otherM, otherN := spare("a"), spare("c")
+	otherSig := append(make([]Signal, 0, 4), Signal{Var: "s", Val: 1})
+	other := Plan{"m": {GlobalLocks: otherM}, "n": {GlobalLocks: otherN, SignalAfter: otherSig}}
+	wantM := slices.Clone(otherM[:cap(otherM)])
+	wantN := slices.Clone(otherN[:cap(otherN)])
+	wantSig := slices.Clone(otherSig[:cap(otherSig)])
+
+	recv.Merge(other)
+	recv.Merge(Plan{"n": {GlobalLocks: []string{"0"}, SignalAfter: []Signal{{Var: "t", Val: 2}}}})
+
+	if got := recv["m"].GlobalLocks; !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("receiver m locks = %v, want [a b]", got)
+	}
+	if got := recv["n"].GlobalLocks; !slices.Equal(got, []string{"0", "c"}) {
+		t.Fatalf("receiver n locks = %v, want [0 c]", got)
+	}
+	if got := recv["n"].SignalAfter; !slices.Equal(got, []Signal{{Var: "s", Val: 1}, {Var: "t", Val: 2}}) {
+		t.Fatalf("receiver n signals = %v", got)
+	}
+	if !slices.Equal(otherM[:cap(otherM)], wantM) || !slices.Equal(otherN[:cap(otherN)], wantN) ||
+		!slices.Equal(otherSig[:cap(otherSig)], wantSig) {
+		t.Fatalf("other written through: m=%q n=%q signals=%v",
+			otherM[:cap(otherM)], otherN[:cap(otherN)], otherSig[:cap(otherSig)])
+	}
+	if len(other) != 2 || len(other["n"].GlobalLocks) != 1 || len(other["n"].SignalAfter) != 1 {
+		t.Fatalf("other's entries changed: %+v", other)
 	}
 }
 

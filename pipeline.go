@@ -657,7 +657,9 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 	}
 
 	// TAGT runs on the same safely-intervenable candidate pool with the
-	// same intervention oracle, but no DAG knowledge.
+	// same re-execution oracle, but no DAG knowledge. It needs only each
+	// group's verdict, so it asks Executor.Stops, which ends a test at
+	// its first failing replay and skips observation extraction.
 	var pool []PredicateID
 	noPath := 0
 	for _, id := range dag.Nodes() {
@@ -669,19 +671,9 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 			noPath++
 		}
 	}
-	oracle := func(group []predicate.ID) (bool, error) {
-		obs, err := exec.Intervene(ctx, group)
-		if err != nil {
-			return false, err
-		}
-		for _, o := range obs {
-			if o.Failed {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	tagtRes, err := grouptest.Adaptive(pool, oracle, p.seed)
+	tagtRes, err := grouptest.Adaptive(pool, func(group []predicate.ID) (bool, error) {
+		return exec.Stops(ctx, group)
+	}, p.seed)
 	if err != nil {
 		return nil, fmt.Errorf("aid: %s: TAGT: %w", src.Label(), err)
 	}
