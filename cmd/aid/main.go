@@ -68,6 +68,10 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 		os.Exit(2)
 	}
+	if err := aid.Variant(*variant).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	opts := []aid.Option{
 		aid.WithCorpusSize(*successes, *failures),

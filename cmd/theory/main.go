@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 
+	"aid/internal/grouptest"
 	"aid/internal/theory"
 )
 
@@ -50,7 +51,7 @@ func main() {
 	for _, s := range []int{1, 2, 4, 8} {
 		fmt.Printf("  CPD lower bound (Thm 2, S1=%d):          %.2f\n", s, theory.CPDLowerBound(total, *d, s))
 	}
-	fmt.Printf("  TAGT upper bound D·log2 N:              %.2f\n", theory.TAGTUpperBound(total, *d))
+	fmt.Printf("  TAGT upper bound D·⌈log2 N⌉:            %d\n", grouptest.UpperBound(total, *d))
 	for _, s := range []int{1, 2, 4, 8} {
 		fmt.Printf("  AID upper bound (Thm 3, S2=%d):          %.2f\n", s, theory.AIDPruningUpperBound(total, *d, s))
 	}

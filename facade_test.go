@@ -3,109 +3,50 @@ package aid_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"aid"
-	"aid/internal/casestudy"
 )
 
-// legacyReport projects a pre-facade casestudy.Report onto the public
-// Report shape, field by field.
-func legacyReport(rep *casestudy.Report) *aid.Report {
-	s1, s2 := rep.AID.PruningStats()
-	out := &aid.Report{
-		Study:             rep.Study,
-		Issue:             rep.Issue,
-		Description:       rep.Description,
-		TotalPredicates:   rep.TotalPredicates,
-		Discriminative:    rep.Discriminative,
-		DAGNodes:          rep.DAGNodes,
-		NoPathToF:         rep.NoPathToF,
-		CausalPathLen:     rep.CausalPathLen,
-		AIDInterventions:  rep.AIDInterventions,
-		TAGTInterventions: rep.TAGTInterventions,
-		TAGTWorstCase:     rep.TAGTWorstCase,
-		RootCause:         string(rep.AID.RootCause()),
-		Explanation:       rep.Explanation,
-		Narrative:         rep.Narrative,
-		PruningS1:         s1,
-		PruningS2:         s2,
-	}
-	for _, id := range rep.Path {
-		out.Path = append(out.Path, string(id))
-	}
-	for _, r := range rep.AID.Rounds {
-		rr := aid.ReportRound{Phase: r.Phase, Stopped: r.Stopped, Confirmed: string(r.Confirmed)}
-		for _, id := range r.Intervened {
-			rr.Intervened = append(rr.Intervened, string(id))
-		}
-		for _, id := range r.Pruned {
-			rr.Pruned = append(rr.Pruned, string(id))
-		}
-		out.Rounds = append(out.Rounds, rr)
-	}
-	return out
-}
-
-// TestPipelineMatchesCaseStudyRun pins the facade to the pre-refactor
-// behavior: for every case study, aid.Pipeline.Run produces a report
-// byte-identical (as JSON) to the internal casestudy.Run pipeline under
-// the same configuration.
-func TestPipelineMatchesCaseStudyRun(t *testing.T) {
-	ctx := context.Background()
-	for _, s := range casestudy.All() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			t.Parallel()
-			rc := casestudy.DefaultRunConfig()
-			rc.Successes, rc.Failures = 30, 30
-			want, err := casestudy.Run(ctx, s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			pipeline := aid.New(aid.WithCorpusSize(30, 30))
-			got, err := pipeline.Run(ctx, aid.FromStudy(aid.CaseStudyByName(s.Name)))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			wantJSON, err := legacyReport(want).JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotJSON, err := got.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotJSON, wantJSON) {
-				t.Errorf("facade report differs from casestudy.Run:\n--- casestudy.Run\n%s\n--- Pipeline.Run\n%s", wantJSON, gotJSON)
-			}
-		})
-	}
-}
-
 // TestPipelineDeterministicAcrossWorkers checks the facade preserves
-// the pool determinism contract: 1 worker and 8 workers produce
-// byte-identical reports.
+// the pool determinism contract: every pool width produces a
+// byte-identical report and a deeply equal discovery result.
 func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 	ctx := context.Background()
-	study := aid.CaseStudyByName("network")
-	var reports [][]byte
-	for _, workers := range []int{1, 8} {
-		pipeline := aid.New(aid.WithCorpusSize(20, 20), aid.WithWorkers(workers))
-		rep, err := pipeline.Run(ctx, aid.FromStudy(study))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		j, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports = append(reports, j)
-	}
-	if !bytes.Equal(reports[0], reports[1]) {
-		t.Error("reports differ between 1 and 8 workers")
+	for _, tc := range []struct {
+		study   string
+		replays int
+		widths  []int
+	}{
+		{"network", 5, []int{1, 8}},
+		{"npgsql", 3, []int{1, 3, 8}},
+	} {
+		t.Run(tc.study, func(t *testing.T) {
+			var first *aid.Report
+			var firstJSON []byte
+			for _, workers := range tc.widths {
+				pipeline := aid.New(aid.WithCorpusSize(20, 20), aid.WithReplays(tc.replays), aid.WithWorkers(workers))
+				rep, err := pipeline.Run(ctx, aid.FromStudy(aid.CaseStudyByName(tc.study)))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				j, err := rep.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first, firstJSON = rep, j
+					continue
+				}
+				if !reflect.DeepEqual(first.Result, rep.Result) {
+					t.Errorf("workers=%d: discovery result differs from workers=%d", workers, tc.widths[0])
+				}
+				if !bytes.Equal(firstJSON, j) {
+					t.Errorf("workers=%d: report differs from workers=%d", workers, tc.widths[0])
+				}
+			}
+		})
 	}
 }
 
@@ -181,8 +122,9 @@ func TestPipelineObserverEventOrder(t *testing.T) {
 	}
 }
 
-// TestPipelineVariants checks the ablation options are accepted and the
-// unknown variant is rejected.
+// TestPipelineVariants checks the ablation options are accepted and
+// that an unknown variant is rejected before the pipeline starts (no
+// event emitted). casestudy's TestRunVariants compares their rounds.
 func TestPipelineVariants(t *testing.T) {
 	ctx := context.Background()
 	study := aid.CaseStudyByName("network")
@@ -196,8 +138,14 @@ func TestPipelineVariants(t *testing.T) {
 			t.Errorf("variant %s found no root cause", v)
 		}
 	}
-	pipeline := aid.New(aid.WithCorpusSize(20, 20), aid.WithVariant("nope"))
+
+	var events []aid.Event
+	pipeline := aid.New(aid.WithCorpusSize(20, 20), aid.WithVariant("nope"),
+		aid.WithObserver(aid.ObserverFunc(func(e aid.Event) { events = append(events, e) })))
 	if _, err := pipeline.Run(ctx, aid.FromStudy(study)); err == nil {
 		t.Error("unknown variant accepted")
+	}
+	if len(events) != 0 {
+		t.Errorf("unknown variant emitted %d events before failing (first %T)", len(events), events[0])
 	}
 }

@@ -1,10 +1,12 @@
-package casestudy
+package casestudy_test
 
 import (
 	"context"
 	"strings"
 	"testing"
 
+	"aid"
+	"aid/internal/casestudy"
 	"aid/internal/sim"
 )
 
@@ -17,7 +19,7 @@ import (
 // degraded — so neither is fully discriminative alone, but their
 // conjunction is, and repairing either one (absorbing its exception so
 // the penalty handler never runs) prevents the failure.
-func compoundStudy() *Study {
+func compoundStudy() *casestudy.Study {
 	p := sim.NewProgram("compound", "Main")
 	p.Globals["diskSlow"] = 0
 	p.Globals["netSlow"] = 0
@@ -68,7 +70,7 @@ func compoundStudy() *Study {
 		sim.Call{Fn: "ServeRequest"},
 	)
 
-	return &Study{
+	return &casestudy.Study{
 		Name:        "compound",
 		Issue:       "synthetic",
 		Description: "failure requires both subsystems to degrade simultaneously",
@@ -77,17 +79,21 @@ func compoundStudy() *Study {
 	}
 }
 
-func TestCompoundRootCauseDiscovery(t *testing.T) {
-	s := compoundStudy()
-	rc := RunConfig{
-		Successes: 40, Failures: 30, SeedCap: 4000,
-		ReplaySeeds: 5, Seed: 1, Compounds: 10,
-	}
-	rep, err := Run(context.Background(), s, rc)
+// runCompound runs the pipeline over compoundStudy with a 40+30
+// corpus and the paper's defaults, plus opts.
+func runCompound(t *testing.T, opts ...aid.Option) *aid.Report {
+	t.Helper()
+	p := aid.New(append([]aid.Option{aid.WithCorpusSize(40, 30)}, opts...)...)
+	rep, err := p.Run(context.Background(), aid.FromStudy(compoundStudy()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := string(rep.AID.RootCause())
+	return rep
+}
+
+func TestCompoundRootCauseDiscovery(t *testing.T) {
+	rep := runCompound(t, aid.WithCompounds(10))
+	root := rep.RootCause
 	if !strings.HasPrefix(root, "and(") {
 		t.Fatalf("root cause = %q, want a compound predicate (path %v)", root, rep.Path)
 	}
@@ -102,21 +108,13 @@ func TestCompoundDisabledFindsClosestSinglePredicate(t *testing.T) {
 	// predicate instead (the budget check that directly raises the
 	// failure) — the paper's fallback when no single predicate captures
 	// the true root cause.
-	s := compoundStudy()
-	rc := RunConfig{
-		Successes: 40, Failures: 30, SeedCap: 4000,
-		ReplaySeeds: 5, Seed: 1,
-	}
-	rep, err := Run(context.Background(), s, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runCompound(t)
 	for _, id := range rep.Path {
-		if strings.HasPrefix(string(id), "and(") {
+		if strings.HasPrefix(id, "and(") {
 			t.Fatalf("compound predicate %s present despite Compounds=0", id)
 		}
 	}
-	if got := string(rep.AID.RootCause()); !strings.HasPrefix(got, "fails:ValidateBudget") {
+	if got := rep.RootCause; !strings.HasPrefix(got, "fails:ValidateBudget") {
 		t.Fatalf("fallback root cause = %q, want fails:ValidateBudget", got)
 	}
 }

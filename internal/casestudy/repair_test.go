@@ -1,14 +1,39 @@
-package casestudy
+package casestudy_test
 
 import (
 	"context"
 	"testing"
 
+	"aid"
+	"aid/internal/casestudy"
 	"aid/internal/inject"
 	"aid/internal/predicate"
 	"aid/internal/sim"
-	"aid/internal/statdebug"
 )
+
+// discover runs the pipeline's stages once over a 25+25 corpus of s,
+// returning the collected traces, their predicate corpus and AID's
+// result, so the repair checks replay exactly the failing seeds and
+// predicates discovery reasoned about.
+func discover(t *testing.T, s *casestudy.Study) (*aid.Traces, *aid.Corpus, *aid.Result) {
+	t.Helper()
+	ctx := context.Background()
+	p := aid.New(aid.WithCorpusSize(25, 25))
+	tr, err := p.Collect(ctx, aid.FromStudy(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := p.Extract(tr)
+	dag, _, err := p.BuildDAG(corpus, p.Rank(corpus).Fully)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Discover(ctx, tr, corpus, dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, corpus, res
+}
 
 // TestRootCausePathRepairsEveryFailingSeed is the strongest end-to-end
 // property: for each case study, every predicate on AID's discovered
@@ -19,22 +44,11 @@ func TestRootCausePathRepairsEveryFailingSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repair validation is slow")
 	}
-	for _, s := range All() {
+	for _, s := range casestudy.All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			rc := DefaultRunConfig()
-			rc.Successes, rc.Failures = 25, 25
-			set, failSeeds, err := Collect(context.Background(), s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := s.Config()
-			corpus := predicate.Extract(set, cfg)
-			rep, err := Run(context.Background(), s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cause := range rep.Path {
+			tr, corpus, res := discover(t, s)
+			for _, cause := range res.Path {
 				if cause == predicate.FailureID {
 					continue
 				}
@@ -42,7 +56,7 @@ func TestRootCausePathRepairsEveryFailingSeed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("plan for %s: %v", cause, err)
 				}
-				for _, seed := range failSeeds {
+				for _, seed := range tr.FailSeeds {
 					exec := sim.MustRun(s.Program, seed, sim.RunOptions{Plan: plan, MaxSteps: s.MaxSteps})
 					if exec.Failed() && exec.FailureSig == s.FailureSig {
 						t.Fatalf("repairing %s did not prevent the failure on seed %d",
@@ -62,22 +76,11 @@ func TestSpuriousPredicatesDoNotRepair(t *testing.T) {
 		t.Skip("repair validation is slow")
 	}
 	for _, name := range []string{"npgsql", "network", "healthtelemetry"} {
-		s := ByName(name)
+		s := casestudy.ByName(name)
 		t.Run(s.Name, func(t *testing.T) {
-			rc := DefaultRunConfig()
-			rc.Successes, rc.Failures = 25, 25
-			set, failSeeds, err := Collect(context.Background(), s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := s.Config()
-			corpus := predicate.Extract(set, cfg)
-			rep, err := Run(context.Background(), s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tr, corpus, res := discover(t, s)
 			checked := 0
-			for _, spur := range rep.AID.Spurious {
+			for _, spur := range res.Spurious {
 				if checked >= 5 {
 					break
 				}
@@ -90,7 +93,7 @@ func TestSpuriousPredicatesDoNotRepair(t *testing.T) {
 					t.Fatalf("plan for %s: %v", spur, err)
 				}
 				stillFails := false
-				for _, seed := range failSeeds {
+				for _, seed := range tr.FailSeeds {
 					exec := sim.MustRun(s.Program, seed, sim.RunOptions{Plan: plan, MaxSteps: s.MaxSteps})
 					if exec.Failed() && exec.FailureSig == s.FailureSig {
 						stillFails = true
@@ -106,95 +109,5 @@ func TestSpuriousPredicatesDoNotRepair(t *testing.T) {
 				t.Skip("no safely-repairable spurious predicates to check")
 			}
 		})
-	}
-}
-
-// TestStudyPredicateInventories asserts each study's corpus contains
-// the predicate kinds its bug class is built around.
-func TestStudyPredicateInventories(t *testing.T) {
-	wantKind := map[string]predicate.Kind{
-		"npgsql":          predicate.KindDataRace,
-		"kafka":           predicate.KindOrderViolation,
-		"cosmosdb":        predicate.KindTooSlow,
-		"network":         predicate.KindWrongReturn,
-		"buildandtest":    predicate.KindOrderViolation,
-		"healthtelemetry": predicate.KindDataRace,
-	}
-	for _, s := range All() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			rc := DefaultRunConfig()
-			rc.Successes, rc.Failures = 20, 20
-			set, _, err := Collect(context.Background(), s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			corpus := predicate.Extract(set, s.Config())
-			fully := statdebug.FullyDiscriminative(corpus)
-			found := false
-			for _, id := range fully {
-				if corpus.Pred(id).Kind == wantKind[s.Name] {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("no fully-discriminative %v predicate in %s; have %v",
-					wantKind[s.Name], s.Name, fully)
-			}
-		})
-	}
-}
-
-// TestRunnerHelpers covers the small runner plumbing.
-func TestRunnerHelpers(t *testing.T) {
-	if ByName("npgsql") == nil || ByName("ghost") != nil {
-		t.Fatal("ByName lookup broken")
-	}
-	if len(All()) != 6 {
-		t.Fatalf("All() = %d studies, want 6", len(All()))
-	}
-	reports := []*Report{{Study: "x", Issue: "i", Discriminative: 3, CausalPathLen: 1,
-		AIDInterventions: 2, TAGTInterventions: 4, TAGTWorstCase: 5}}
-	out := FormatFigure7(reports)
-	if out == "" || len(out) < 20 {
-		t.Fatal("FormatFigure7 produced nothing")
-	}
-}
-
-func TestRunVariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("variant comparison is slow")
-	}
-	s := Network()
-	counts := map[string]int{}
-	for _, v := range []string{"aid", "aid-p", "aid-p-b"} {
-		rc := DefaultRunConfig()
-		rc.Successes, rc.Failures = 25, 25
-		rc.Variant = v
-		rep, err := Run(context.Background(), s, rc)
-		if err != nil {
-			t.Fatalf("variant %s: %v", v, err)
-		}
-		if rep.AID.RootCause() == "" {
-			t.Fatalf("variant %s found no root cause", v)
-		}
-		counts[v] = rep.AIDInterventions
-	}
-	if counts["aid"] > counts["aid-p-b"] {
-		t.Fatalf("full AID (%d rounds) should not exceed AID-P-B (%d)", counts["aid"], counts["aid-p-b"])
-	}
-	rc := DefaultRunConfig()
-	rc.Variant = "bogus"
-	if _, err := Run(context.Background(), s, rc); err == nil {
-		t.Fatal("unknown variant accepted")
-	}
-}
-
-func TestCollectErrorsWhenTargetsUnreachable(t *testing.T) {
-	s := Npgsql()
-	rc := RunConfig{Successes: 10, Failures: 10, SeedCap: 3}
-	if _, _, err := Collect(context.Background(), s, rc); err == nil {
-		t.Fatal("Collect with tiny seed cap should fail")
 	}
 }

@@ -2,8 +2,10 @@ package casestudy
 
 import (
 	"context"
-	"strings"
 	"testing"
+
+	"aid/internal/predicate"
+	"aid/internal/statdebug"
 )
 
 // TestStudiesFailIntermittently checks every study manifests its
@@ -27,39 +29,55 @@ func TestStudiesFailIntermittently(t *testing.T) {
 	}
 }
 
-// TestFullPipeline runs the complete AID pipeline on every case study
-// and checks the paper's qualitative claims.
-func TestFullPipeline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline is slow")
+// TestStudyPredicateInventories asserts each study's corpus contains
+// the predicate kinds its bug class is built around.
+func TestStudyPredicateInventories(t *testing.T) {
+	wantKind := map[string]predicate.Kind{
+		"npgsql":          predicate.KindDataRace,
+		"kafka":           predicate.KindOrderViolation,
+		"cosmosdb":        predicate.KindTooSlow,
+		"network":         predicate.KindWrongReturn,
+		"buildandtest":    predicate.KindOrderViolation,
+		"healthtelemetry": predicate.KindDataRace,
 	}
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			rc := DefaultRunConfig()
-			rc.Successes, rc.Failures = 30, 30
-			rep, err := Run(context.Background(), s, rc)
+			set, _, err := Collect(context.Background(), s, CollectConfig{Successes: 20, Failures: 20, SeedCap: 4000})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s: discr=%d path=%d AID=%d TAGT=%d root=%s",
-				rep.Study, rep.Discriminative, rep.CausalPathLen,
-				rep.AIDInterventions, rep.TAGTInterventions, rep.AID.RootCause())
-			t.Logf("explanation:\n  %s", strings.Join(rep.Explanation, "\n  "))
-			if !strings.HasPrefix(string(rep.AID.RootCause()), s.WantRootPrefix) {
-				t.Errorf("root cause = %s, want prefix %s", rep.AID.RootCause(), s.WantRootPrefix)
+			corpus := predicate.Extract(set, ConfigFor(s.Program))
+			fully := statdebug.FullyDiscriminative(corpus)
+			found := false
+			for _, id := range fully {
+				if corpus.Pred(id).Kind == wantKind[s.Name] {
+					found = true
+					break
+				}
 			}
-			if rep.CausalPathLen < 1 {
-				t.Error("empty causal path")
-			}
-			if rep.Discriminative <= rep.CausalPathLen {
-				t.Errorf("SD should find more predicates (%d) than the causal path (%d)",
-					rep.Discriminative, rep.CausalPathLen)
-			}
-			if rep.AIDInterventions > rep.TAGTInterventions {
-				t.Errorf("AID used %d interventions, TAGT %d — AID should not lose",
-					rep.AIDInterventions, rep.TAGTInterventions)
+			if !found {
+				t.Fatalf("no fully-discriminative %v predicate in %s; have %v",
+					wantKind[s.Name], s.Name, fully)
 			}
 		})
+	}
+}
+
+// TestRunnerHelpers covers the study registry.
+func TestRunnerHelpers(t *testing.T) {
+	if ByName("npgsql") == nil || ByName("ghost") != nil {
+		t.Fatal("ByName lookup broken")
+	}
+	if len(All()) != 6 {
+		t.Fatalf("All() = %d studies, want 6", len(All()))
+	}
+}
+
+func TestCollectErrorsWhenTargetsUnreachable(t *testing.T) {
+	s := Npgsql()
+	cc := CollectConfig{Successes: 10, Failures: 10, SeedCap: 3}
+	if _, _, err := Collect(context.Background(), s, cc); err == nil {
+		t.Fatal("Collect with tiny seed cap should fail")
 	}
 }

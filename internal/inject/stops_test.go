@@ -15,16 +15,24 @@ import (
 	"aid/internal/statdebug"
 )
 
-// tagtFixture builds one study's TAGT inputs the way casestudy.Run does:
-// the default corpus, the AC-DAG candidate pool, and a constructor for
-// fresh replay executors at a given pool width.
-func tagtFixture(t *testing.T, s *casestudy.Study, rc casestudy.RunConfig) (func(workers int) *inject.Executor, []predicate.ID) {
+// The pipeline's defaults: a 50+50 corpus within 4000 seeds, 5 replays
+// per group test, algorithm seed 1.
+const (
+	tagtReplays = 5
+	tagtSeed    = 1
+)
+
+// tagtFixture builds one study's TAGT inputs the way aid.Pipeline.Run
+// does at its defaults: the corpus, the AC-DAG candidate pool, and a
+// constructor for fresh replay executors at a given pool width.
+func tagtFixture(t *testing.T, s *casestudy.Study) (func(workers int) *inject.Executor, []predicate.ID) {
 	t.Helper()
-	set, failSeeds, err := casestudy.Collect(context.Background(), s, rc)
+	set, failSeeds, err := casestudy.Collect(context.Background(), s,
+		casestudy.CollectConfig{Successes: 50, Failures: 50, SeedCap: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.Config()
+	cfg := casestudy.ConfigFor(s.Program)
 	corpus := predicate.Extract(set, cfg)
 	dag, _, err := acdag.Build(corpus, statdebug.FullyDiscriminative(corpus), acdag.BuildOptions{})
 	if err != nil {
@@ -36,7 +44,7 @@ func tagtFixture(t *testing.T, s *casestudy.Study, rc casestudy.RunConfig) (func
 			pool = append(pool, id)
 		}
 	}
-	replay := failSeeds[:min(len(failSeeds), rc.ReplaySeeds)]
+	replay := failSeeds[:min(len(failSeeds), tagtReplays)]
 	newExec := func(workers int) *inject.Executor {
 		exec := &inject.Executor{
 			Prog:       s.Program,
@@ -64,10 +72,9 @@ func tagtFixture(t *testing.T, s *casestudy.Study, rc casestudy.RunConfig) (func
 // by Stops reproduces the Intervene-driven result test for test.
 func TestStopsMatchesIntervene(t *testing.T) {
 	ctx := context.Background()
-	rc := casestudy.DefaultRunConfig()
 	for _, s := range casestudy.All() {
 		t.Run(s.Name, func(t *testing.T) {
-			newExec, pool := tagtFixture(t, s, rc)
+			newExec, pool := tagtFixture(t, s)
 			ref := newExec(1)
 			verdict := func(group []predicate.ID) (bool, error) {
 				obs, err := ref.Intervene(ctx, group)
@@ -86,7 +93,7 @@ func TestStopsMatchesIntervene(t *testing.T) {
 				groups = append(groups, slices.Clone(group))
 				return verdict(group)
 			}
-			want, err := grouptest.Adaptive(pool, recorded, rc.Seed)
+			want, err := grouptest.Adaptive(pool, recorded, tagtSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +128,7 @@ func TestStopsMatchesIntervene(t *testing.T) {
 				}
 				res, err := grouptest.Adaptive(pool, func(g []predicate.ID) (bool, error) {
 					return exec.Stops(ctx, g)
-				}, rc.Seed)
+				}, tagtSeed)
 				if err != nil {
 					t.Fatal(err)
 				}

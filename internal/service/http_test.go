@@ -275,7 +275,8 @@ func TestHTTPSaturation429(t *testing.T) {
 }
 
 // TestHTTPErrors pins the error mapping: unknown session → 404, unknown
-// study → 400, bad spec JSON → 400, cancel → 204 and a cancelled state.
+// study or variant → 400, bad spec JSON → 400, cancel → 204 and a
+// cancelled state.
 func TestHTTPErrors(t *testing.T) {
 	m, srv := newTestServer(t, Config{SessionBudget: 2, TenantCap: 4})
 
@@ -306,8 +307,8 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown spec field: HTTP %d, want 400", resp.StatusCode)
 	}
-	// Numeric spec fields outside [0, cap] are refused with 400 before
-	// any session is created.
+	// Numeric spec fields outside [0, cap] and unknown variants are
+	// refused with 400 before any session is created.
 	for _, body := range []string{
 		`{"study":"npgsql","successes":-1}`,
 		`{"study":"npgsql","successes":10001}`,
@@ -322,6 +323,7 @@ func TestHTTPErrors(t *testing.T) {
 		`{"study":"npgsql","workers":-1}`,
 		`{"study":"npgsql","workers":1025}`,
 		`{"study":"npgsql","timeoutMs":-1}`,
+		`{"study":"npgsql","successes":10,"failures":10,"variant":"bogus"}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/tenants/acme/sessions", "application/json", strings.NewReader(body))
 		if err != nil {

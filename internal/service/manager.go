@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aid"
+	"aid/internal/casestudy"
 	"aid/internal/durable"
 	"aid/internal/trace"
 )
@@ -792,7 +793,7 @@ func (s *setSource) Collect(ctx context.Context, spec aid.CollectSpec) (*aid.Tra
 		Set:         s.set,
 		FailSeeds:   failSeeds,
 		Program:     s.study.Program,
-		Config:      s.study.Config(),
+		Config:      casestudy.ConfigFor(s.study.Program),
 		FailureSig:  s.study.FailureSig,
 		MaxSteps:    s.study.MaxSteps,
 		Source:      s.study.Name,

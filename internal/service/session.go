@@ -77,8 +77,11 @@ const (
 )
 
 // validate refuses a spec whose numeric fields are negative or above
-// their caps.
+// their caps, or whose variant is unknown.
 func (sp SessionSpec) validate() error {
+	if err := aid.Variant(sp.Variant).Validate(); err != nil {
+		return validationf("service: session spec: %w", err)
+	}
 	for _, f := range []struct {
 		name   string
 		v, max int

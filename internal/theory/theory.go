@@ -38,19 +38,12 @@ func CPDLowerBound(n, d, s1 int) float64 {
 	return float64(n) / float64(n+d*s1) * LogChoose(n, d)
 }
 
-// TAGTUpperBound is the classic D·log₂N adaptive group-testing bound.
-func TAGTUpperBound(n, d int) float64 {
-	if n <= 1 || d <= 0 {
-		return 0
-	}
-	return float64(d) * math.Log2(float64(n))
-}
-
 // AIDBranchUpperBound is the §6.3.1 bound with branch pruning:
 // J·log₂T interventions to reduce the AC-DAG to a chain (J junctions,
 // at most T branches each, T bounded by the thread count) plus
 // D·log₂(NM) to vet the chain of at most NM predicates. It improves on
-// TAGT's D·log₂(T·NM) whenever J < D.
+// TAGT's D·log₂(T·NM) whenever J < D (grouptest.UpperBound is TAGT's
+// D·⌈log₂N⌉ bound).
 func AIDBranchUpperBound(j, t, nm, d int) float64 {
 	var out float64
 	if j > 0 && t > 1 {

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"aid/internal/acdag"
+	"aid/internal/grouptest"
 	"aid/internal/predicate"
 )
 
@@ -50,7 +51,7 @@ func TestTheorem2LowerBoundReduced(t *testing.T) {
 
 func TestTheorem3UpperBoundReduced(t *testing.T) {
 	n, d := 200, 8
-	tagt := TAGTUpperBound(n, d)
+	tagt := float64(grouptest.UpperBound(n, d))
 	prev := tagt + 1
 	for s2 := 1; s2 <= 20; s2++ {
 		aid := AIDPruningUpperBound(n, d, s2)
@@ -68,7 +69,7 @@ func TestBranchUpperBoundBeatsTAGTWhenJLessThanD(t *testing.T) {
 	// §6.3.1: J·logT + D·logNM < D·logT + D·logNM = D·log(T·NM) iff J<D.
 	j, tr, nm, d := 2, 8, 50, 5
 	aid := AIDBranchUpperBound(j, tr, nm, d)
-	tagt := TAGTUpperBound(tr*nm, d) // D·log(T·NM)
+	tagt := float64(grouptest.UpperBound(tr*nm, d)) // D·⌈log(T·NM)⌉
 	if aid >= tagt {
 		t.Fatalf("branch bound %v not below TAGT %v despite J<D", aid, tagt)
 	}
@@ -218,9 +219,6 @@ func TestFigure6(t *testing.T) {
 }
 
 func TestDegenerateBounds(t *testing.T) {
-	if TAGTUpperBound(0, 5) != 0 || TAGTUpperBound(10, 0) != 0 {
-		t.Fatal("degenerate TAGT bound nonzero")
-	}
 	if AIDPruningUpperBound(1, 0, 3) != 0 {
 		t.Fatal("degenerate AID bound nonzero")
 	}

@@ -31,6 +31,24 @@ const (
 	VariantAIDPB Variant = "aid-p-b"
 )
 
+// variantOptions maps each accepted variant name to its core options;
+// the empty Variant means VariantAID.
+var variantOptions = map[Variant]func(seed int64) core.Options{
+	"":           core.AIDOptions,
+	VariantAID:   core.AIDOptions,
+	VariantAIDP:  core.AIDPOptions,
+	VariantAIDPB: core.AIDPBOptions,
+}
+
+// Validate returns an error unless v names one of the paper's variants
+// (or is empty, meaning VariantAID).
+func (v Variant) Validate() error {
+	if _, ok := variantOptions[v]; !ok {
+		return fmt.Errorf("aid: unknown variant %q", v)
+	}
+	return nil
+}
+
 // Pipeline is the public face of AID: collect → extract → rank →
 // AC-DAG → intervene → explain, configured once with functional
 // options. Stages are individually callable for partial workflows
@@ -330,17 +348,10 @@ func (p *Pipeline) emit(e Event) {
 // coreOptions resolves the variant into core options with observer
 // hooks attached.
 func (p *Pipeline) coreOptions() (core.Options, error) {
-	var opts core.Options
-	switch p.variant {
-	case "", VariantAID:
-		opts = core.AIDOptions(p.seed)
-	case VariantAIDP:
-		opts = core.AIDPOptions(p.seed)
-	case VariantAIDPB:
-		opts = core.AIDPBOptions(p.seed)
-	default:
-		return core.Options{}, fmt.Errorf("aid: unknown variant %q", p.variant)
+	if err := p.variant.Validate(); err != nil {
+		return core.Options{}, err
 	}
+	opts := variantOptions[p.variant](p.seed)
 	if p.observer != nil {
 		rounds := 0
 		opts.OnRound = func(r core.Round, m core.RoundMeta) {
@@ -636,10 +647,16 @@ func (p *Pipeline) Explain(corpus *Corpus, res *Result) string {
 
 // Run executes the pipeline end-to-end: collect, extract, rank, build
 // the AC-DAG, discover the causal path, run the TAGT baseline on the
-// same candidate pool, and assemble the serializable Report. The
-// output is bit-identical for any worker count, and — for the built-in
-// case studies — to the pre-facade internal runner.
+// same candidate pool, and assemble the serializable Report. It is the
+// only end-to-end pipeline; every CLI, the daemon and the benchmarks
+// run it, and testdata/reports pins its output for the six case
+// studies byte for byte. The output is bit-identical for any worker
+// count. An unknown variant fails before collection, emitting no
+// event.
 func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
+	if err := p.variant.Validate(); err != nil {
+		return nil, err
+	}
 	tr, err := p.Collect(ctx, src)
 	if err != nil {
 		return nil, err

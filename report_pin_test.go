@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aid"
@@ -22,7 +24,13 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/reports goldens
 // Settings mirror benchOpts (trimmed 30+30 corpus, 5 replays) so the
 // pin exercises the same configuration the Figure 7 benchmarks and the
 // allocs/op gate measure.
+//
+// The paper's qualitative claims on these reports are checked by
+// casestudy's TestFullPipeline at the same configuration. Finally
+// FormatFigure7 must render the six reports as one row each, carrying
+// the reports' numbers.
 func TestCaseStudyReportGoldens(t *testing.T) {
+	var reports []*aid.Report
 	for _, s := range aid.CaseStudies() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
@@ -31,6 +39,7 @@ func TestCaseStudyReportGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			reports = append(reports, rep)
 			got, err := rep.JSON()
 			if err != nil {
 				t.Fatal(err)
@@ -54,6 +63,20 @@ func TestCaseStudyReportGoldens(t *testing.T) {
 					s.Name, len(got), len(want), firstDiff(got, want))
 			}
 		})
+	}
+	if len(reports) != len(aid.CaseStudies()) {
+		return
+	}
+	lines := strings.Split(strings.TrimSuffix(aid.FormatFigure7(reports), "\n"), "\n")
+	if len(lines) != 1+len(reports) {
+		t.Fatalf("FormatFigure7: %d lines, want a header and %d rows", len(lines), len(reports))
+	}
+	for i, r := range reports {
+		want := fmt.Sprintf("%s %s %d %d %d %d %d", r.Study, r.Issue, r.Discriminative, r.CausalPathLen,
+			r.AIDInterventions, r.TAGTInterventions, r.TAGTWorstCase)
+		if got := strings.Join(strings.Fields(lines[1+i]), " "); got != want {
+			t.Errorf("FormatFigure7 row %d = %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"aid/internal/casestudy"
-	"aid/internal/predicate"
 	"aid/internal/trace"
 )
 
@@ -65,15 +64,29 @@ type Traces struct {
 	Description string
 }
 
-// observeCollect adapts the spec's observer to casestudy.Collect's
-// progress hook.
-func (spec CollectSpec) observeCollect() func(succ, fail int, seedsSwept int64) {
-	if spec.Observer == nil {
-		return nil
+// collectConfig translates the spec into casestudy.Collect's
+// configuration, adapting the observer to its progress hook.
+func (spec CollectSpec) collectConfig() casestudy.CollectConfig {
+	cc := casestudy.CollectConfig{
+		Successes: spec.Successes, Failures: spec.Failures,
+		SeedCap: spec.SeedCap, Workers: spec.Workers,
 	}
-	return func(succ, fail int, seedsSwept int64) {
-		spec.Observer.OnEvent(CollectProgress{Successes: succ, Failures: fail, SeedsSwept: seedsSwept})
+	if spec.Observer != nil {
+		cc.OnCollect = func(succ, fail int, seedsSwept int64) {
+			spec.Observer.OnEvent(CollectProgress{Successes: succ, Failures: fail, SeedsSwept: seedsSwept})
+		}
 	}
+	return cc
+}
+
+// extractConfig resolves a source's extraction configuration: the
+// override when set, else the one derived from the program's
+// annotations (casestudy.ConfigFor; defaults for a nil program).
+func extractConfig(override *ExtractConfig, p *Program) ExtractConfig {
+	if override != nil {
+		return *override
+	}
+	return casestudy.ConfigFor(p)
 }
 
 // ---- Case-study source ----
@@ -93,15 +106,10 @@ func (s *StudySource) Label() string { return s.study.Name }
 func (s *StudySource) Study() *CaseStudy { return s.study }
 
 // Collect implements TraceSource by sweeping scheduler seeds until the
-// corpus quotas are met (identical to the pre-facade collection loop:
-// the corpus is bit-identical for any worker count).
+// corpus quotas are met (casestudy.Collect: the corpus is bit-identical
+// for any worker count).
 func (s *StudySource) Collect(ctx context.Context, spec CollectSpec) (*Traces, error) {
-	rc := casestudy.RunConfig{
-		Successes: spec.Successes, Failures: spec.Failures,
-		SeedCap: spec.SeedCap, Workers: spec.Workers,
-		OnCollect: spec.observeCollect(),
-	}
-	set, failSeeds, err := casestudy.Collect(ctx, s.study, rc)
+	set, failSeeds, err := casestudy.Collect(ctx, s.study, spec.collectConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +117,7 @@ func (s *StudySource) Collect(ctx context.Context, spec CollectSpec) (*Traces, e
 		Set:         set,
 		FailSeeds:   failSeeds,
 		Program:     s.study.Program,
-		Config:      s.study.Config(),
+		Config:      casestudy.ConfigFor(s.study.Program),
 		FailureSig:  s.study.FailureSig,
 		MaxSteps:    s.study.MaxSteps,
 		Source:      s.study.Name,
@@ -145,15 +153,6 @@ func FromProgram(p *Program) *ProgramSource { return &ProgramSource{Program: p} 
 // Label implements TraceSource.
 func (s *ProgramSource) Label() string { return s.Program.Name }
 
-// config resolves the extraction configuration.
-func (s *ProgramSource) config() ExtractConfig {
-	if s.Config != nil {
-		return *s.Config
-	}
-	st := s.asStudy()
-	return st.Config()
-}
-
 // asStudy wraps the program in an anonymous case study so the shared
 // quota-sweep collector applies.
 func (s *ProgramSource) asStudy() *casestudy.Study {
@@ -173,12 +172,7 @@ func (s *ProgramSource) Collect(ctx context.Context, spec CollectSpec) (*Traces,
 	if err := s.Program.Validate(); err != nil {
 		return nil, err
 	}
-	rc := casestudy.RunConfig{
-		Successes: spec.Successes, Failures: spec.Failures,
-		SeedCap: spec.SeedCap, Workers: spec.Workers,
-		OnCollect: spec.observeCollect(),
-	}
-	set, failSeeds, err := casestudy.Collect(ctx, s.asStudy(), rc)
+	set, failSeeds, err := casestudy.Collect(ctx, s.asStudy(), spec.collectConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +180,7 @@ func (s *ProgramSource) Collect(ctx context.Context, spec CollectSpec) (*Traces,
 		Set:        set,
 		FailSeeds:  failSeeds,
 		Program:    s.Program,
-		Config:     s.config(),
+		Config:     extractConfig(s.Config, s.Program),
 		FailureSig: s.FailureSig,
 		MaxSteps:   s.MaxSteps,
 		Source:     s.Program.Name,
@@ -230,7 +224,7 @@ func (s *TraceFileSource) ForStudy(st *CaseStudy) *TraceFileSource {
 	s.Program = st.Program
 	s.FailureSig = st.FailureSig
 	s.MaxSteps = st.MaxSteps
-	cfg := st.Config()
+	cfg := casestudy.ConfigFor(st.Program)
 	s.Config = &cfg
 	s.study = st
 	return s
@@ -266,23 +260,11 @@ func (s *TraceFileSource) Collect(ctx context.Context, spec CollectSpec) (*Trace
 			failSeeds = append(failSeeds, e.Seed)
 		}
 	}
-	cfg := ExtractConfig{DurationMargin: 4}
-	if s.Config != nil {
-		cfg = *s.Config
-	} else if s.Program != nil {
-		cfg = predicate.Config{
-			SideEffectFree: func(method string) bool {
-				f, ok := s.Program.Funcs[method]
-				return ok && f.SideEffectFree
-			},
-			DurationMargin: 4,
-		}
-	}
 	tr := &Traces{
 		Set:        set,
 		FailSeeds:  failSeeds,
 		Program:    s.Program,
-		Config:     cfg,
+		Config:     extractConfig(s.Config, s.Program),
 		FailureSig: s.FailureSig,
 		MaxSteps:   s.MaxSteps,
 		Source:     s.Path,
