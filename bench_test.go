@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"aid"
+	"aid/internal/roworacle"
 	"aid/internal/theory"
 )
 
@@ -111,13 +112,13 @@ func BenchmarkPoolScaling(b *testing.B) {
 // BenchmarkCorpusScaling exercises the columnar corpus at a trimmed
 // scale (CI smoke): rank + AC-DAG build through the columnar store vs
 // the row-oriented oracle on an identical synthetic corpus, outputs
-// cross-checked inside RunCorpusScaling. cmd/benchjson records the
+// cross-checked inside roworacle.RunCorpusScaling. cmd/benchjson records the
 // full ≥50k×2k measurement in BENCH_pipeline.json.
 func BenchmarkCorpusScaling(b *testing.B) {
 	b.ReportAllocs()
-	var last *aid.CorpusScalingResult
+	var last *roworacle.CorpusScalingResult
 	for i := 0; i < b.N; i++ {
-		res, err := aid.RunCorpusScaling(4000, 400, 1)
+		res, err := roworacle.RunCorpusScaling(4000, 400, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

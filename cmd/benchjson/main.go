@@ -33,6 +33,7 @@ import (
 
 	"aid"
 	"aid/internal/effects"
+	"aid/internal/roworacle"
 	"aid/internal/service"
 )
 
@@ -328,9 +329,9 @@ func main() {
 			passes = 1 // mirror measure()'s clamp
 		}
 		var metrics map[string]float64
-		var best *aid.CorpusScalingResult
+		var best *roworacle.CorpusScalingResult
 		for r := 0; r < passes; r++ {
-			res, err := aid.RunCorpusScaling(scaleExecs, scalePreds, 1)
+			res, err := roworacle.RunCorpusScaling(scaleExecs, scalePreds, 1)
 			if err != nil {
 				fatal(err)
 			}

@@ -2,6 +2,7 @@ package casestudy_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 // TestFullPipeline runs the complete AID pipeline on every case study
 // and checks the paper's qualitative claims: the root cause has the
 // study's expected kind, the causal path is non-empty and shorter than
-// SD's fully-discriminative set, and AID needs no more interventions
-// than TAGT. The 30+30 corpus with 5 replays is the configuration the
-// report goldens pin byte for byte.
+// SD's fully-discriminative set, AID needs no more interventions than
+// TAGT, and TAGT stays within its exact worst case. The 30+30 corpus
+// with 5 replays is the configuration the report goldens pin byte for
+// byte.
 func TestFullPipeline(t *testing.T) {
 	for _, s := range casestudy.All() {
 		s := s
@@ -41,6 +43,17 @@ func TestFullPipeline(t *testing.T) {
 			if rep.AIDInterventions > rep.TAGTInterventions {
 				t.Errorf("AID used %d interventions, TAGT %d — AID should not lose",
 					rep.AIDInterventions, rep.TAGTInterventions)
+			}
+			// grouptest.Adaptive's exact bound D·(⌈log₂N⌉+1)+1: one
+			// whole-pool test and one binary search per cause, plus the
+			// final clearing test. The pool is the AC-DAG minus F. (The
+			// report's TAGTWorstCase is the paper's D·⌈log₂N⌉ column, not
+			// this cap.)
+			n := rep.DAGNodes - 1
+			bound := rep.CausalPathLen*(int(math.Ceil(math.Log2(float64(n))))+1) + 1
+			if rep.TAGTInterventions > bound {
+				t.Errorf("TAGT used %d interventions, over its D·(⌈log₂N⌉+1)+1 = %d bound (N=%d, D=%d)",
+					rep.TAGTInterventions, bound, n, rep.CausalPathLen)
 			}
 		})
 	}

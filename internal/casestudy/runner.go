@@ -113,8 +113,8 @@ func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.Set, []int
 			seeds = append(seeds, seed)
 		}
 		execs, err := sim.RunBatch(ctx, s.Program, seeds, sim.BatchOptions{
-			Run:     sim.RunOptions{MaxSteps: s.MaxSteps},
-			Workers: cc.Workers,
+			MaxSteps: s.MaxSteps,
+			Workers:  cc.Workers,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("casestudy %s: %w", s.Name, err)
@@ -194,7 +194,7 @@ func failureRate(s *Study, n int) float64 {
 		seeds[i] = int64(i + 1)
 	}
 	execs, err := sim.RunBatch(context.Background(), s.Program, seeds, sim.BatchOptions{
-		Run: sim.RunOptions{MaxSteps: s.MaxSteps},
+		MaxSteps: s.MaxSteps,
 	})
 	if err != nil {
 		panic(err)

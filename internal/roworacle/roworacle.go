@@ -3,8 +3,10 @@
 // contract is "same answers, different layout": the equivalence
 // property tests pin the columnar Scores/Discriminative/
 // GenerateCompounds/Build outputs byte-identical (as JSON) to this
-// package on randomized corpora, and the corpus-scaling benchmark uses
-// it as the row-path baseline its speedups are measured against.
+// package on randomized corpora, and the corpus-scaling harness
+// (RunCorpusScaling, behind BenchmarkCorpusScaling and cmd/benchjson)
+// uses it as the row-path baseline its speedups are measured against.
+// Neither the aid library nor cmd/aid imports it.
 //
 // Everything here is intentionally the old shape: logs are a slice of
 // ID-keyed occurrence maps, counts re-scan the logs on every query, and

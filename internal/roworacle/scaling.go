@@ -1,4 +1,4 @@
-package aid
+package roworacle
 
 import (
 	"fmt"
@@ -7,17 +7,17 @@ import (
 
 	"aid/internal/acdag"
 	"aid/internal/predicate"
-	"aid/internal/roworacle"
 	"aid/internal/statdebug"
+	"aid/internal/trace"
 )
 
 // CorpusScalingResult records one corpus-scaling measurement: the same
 // synthetic predicate corpus ranked and AC-DAG-built through the
-// columnar store and through the preserved row-oriented oracle
-// (internal/roworacle), with both outputs cross-checked equal. It is
-// the evidence behind the "production-rate corpora" claim: scores are
-// maintained counters and the counterfactual filter is O(1) per
-// candidate, so rank+build cost stops scaling with corpus size.
+// columnar store and through this package's row-oriented oracle, with
+// both outputs cross-checked equal. It is the evidence behind the
+// "production-rate corpora" claim: scores are maintained counters and
+// the counterfactual filter is O(1) per candidate, so rank+build cost
+// stops scaling with corpus size.
 type CorpusScalingResult struct {
 	// Executions and Predicates are the corpus dimensions.
 	Executions int `json:"executions"`
@@ -59,7 +59,7 @@ func (g *scalingLCG) next() uint64 {
 func RunCorpusScaling(execs, preds int, seed int64) (*CorpusScalingResult, error) {
 	const causal = 24
 	if preds < causal+2 || execs < 4 {
-		return nil, fmt.Errorf("aid: corpus scaling needs >= %d predicates and >= 4 executions", causal+2)
+		return nil, fmt.Errorf("roworacle: corpus scaling needs >= %d predicates and >= 4 executions", causal+2)
 	}
 	table := make([]predicate.Predicate, 0, preds+1)
 	table = append(table, predicate.FailurePredicate())
@@ -80,7 +80,7 @@ func RunCorpusScaling(execs, preds int, seed int64) (*CorpusScalingResult, error
 	}
 
 	col := predicate.NewCorpus()
-	row := roworacle.NewCorpus()
+	row := NewCorpus()
 	for _, p := range table {
 		col.AddPred(p)
 		row.AddPred(p)
@@ -100,7 +100,7 @@ func RunCorpusScaling(execs, preds int, seed int64) (*CorpusScalingResult, error
 			// chain order with per-row jitter that never crosses links.
 			for k := 0; k < causal; k++ {
 				base := predicate.Occurrence{
-					Start:  Time(k*10) + Time(g.next()%3),
+					Start:  trace.Time(k*10) + trace.Time(g.next()%3),
 					Thread: 0,
 				}
 				base.End = base.Start + 2
@@ -110,10 +110,10 @@ func RunCorpusScaling(execs, preds int, seed int64) (*CorpusScalingResult, error
 		// Noise predicates occur in ~1.5% of rows regardless of outcome.
 		for i := causal; i < preds; i++ {
 			if g.next()%67 == 0 {
-				start := Time(g.next() % 5000)
+				start := trace.Time(g.next() % 5000)
 				occ[table[1+i].ID] = predicate.Occurrence{
 					Start:  start,
-					End:    start + Time(1+g.next()%40),
+					End:    start + trace.Time(1+g.next()%40),
 					Thread: predicate.NoThread,
 				}
 			}
@@ -135,38 +135,38 @@ func RunCorpusScaling(execs, preds int, seed int64) (*CorpusScalingResult, error
 	colNs := time.Since(t0).Nanoseconds()
 	runtime.ReadMemStats(&after)
 	if err != nil {
-		return nil, fmt.Errorf("aid: corpus scaling: columnar build: %w", err)
+		return nil, fmt.Errorf("roworacle: corpus scaling: columnar build: %w", err)
 	}
 
 	// Row-oracle rank+build over the identical corpus.
 	t0 = time.Now()
-	rowScores := roworacle.Scores(row)
-	rowFully := roworacle.FullyDiscriminative(row)
-	rowDAG, _, err := roworacle.Build(row, rowFully, acdag.BuildOptions{})
+	rowScores := Scores(row)
+	rowFully := FullyDiscriminative(row)
+	rowDAG, _, err := Build(row, rowFully, acdag.BuildOptions{})
 	rowNs := time.Since(t0).Nanoseconds()
 	if err != nil {
-		return nil, fmt.Errorf("aid: corpus scaling: row build: %w", err)
+		return nil, fmt.Errorf("roworacle: corpus scaling: row build: %w", err)
 	}
 
 	// The refactor's contract: same answers from both layouts.
 	if len(colScores) != len(rowScores) {
-		return nil, fmt.Errorf("aid: corpus scaling: score count diverges (%d vs %d)", len(colScores), len(rowScores))
+		return nil, fmt.Errorf("roworacle: corpus scaling: score count diverges (%d vs %d)", len(colScores), len(rowScores))
 	}
 	for i := range colScores {
 		if colScores[i] != rowScores[i] {
-			return nil, fmt.Errorf("aid: corpus scaling: score %d diverges (%+v vs %+v)", i, colScores[i], rowScores[i])
+			return nil, fmt.Errorf("roworacle: corpus scaling: score %d diverges (%+v vs %+v)", i, colScores[i], rowScores[i])
 		}
 	}
 	if len(colFully) != len(rowFully) {
-		return nil, fmt.Errorf("aid: corpus scaling: fully-discriminative sets diverge")
+		return nil, fmt.Errorf("roworacle: corpus scaling: fully-discriminative sets diverge")
 	}
 	for i := range colFully {
 		if colFully[i] != rowFully[i] {
-			return nil, fmt.Errorf("aid: corpus scaling: fully-discriminative sets diverge at %d", i)
+			return nil, fmt.Errorf("roworacle: corpus scaling: fully-discriminative sets diverge at %d", i)
 		}
 	}
 	if colDAG.Len() != rowDAG.Len() || len(colDAG.ReductionEdges()) != len(rowDAG.ReductionEdges()) {
-		return nil, fmt.Errorf("aid: corpus scaling: DAGs diverge (%d/%d nodes)", colDAG.Len(), rowDAG.Len())
+		return nil, fmt.Errorf("roworacle: corpus scaling: DAGs diverge (%d/%d nodes)", colDAG.Len(), rowDAG.Len())
 	}
 
 	res := &CorpusScalingResult{

@@ -21,7 +21,7 @@ func BenchmarkRunRacyInterpreted(b *testing.B) {
 	p := racyProgram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := MustRun(p, int64(i), RunOptions{Engine: EngineInterpreter})
+		e := mustRunInterpreted(p, int64(i), RunOptions{})
 		if len(e.Calls) == 0 {
 			b.Fatal("no spans recorded")
 		}
@@ -68,7 +68,7 @@ func BenchmarkRunInjectedInterpreted(b *testing.B) {
 	plan := Plan{"Worker": {GlobalLocks: []string{"inj"}, DelayStart: 3}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := MustRun(p, int64(i), RunOptions{Plan: plan, Engine: EngineInterpreter})
+		e := mustRunInterpreted(p, int64(i), RunOptions{Plan: plan})
 		if e.Failed() {
 			b.Fatal("injected run failed")
 		}
@@ -101,6 +101,6 @@ func BenchmarkSchedulerInterpreted(b *testing.B) {
 	p := schedulerProgram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MustRun(p, 1, RunOptions{Engine: EngineInterpreter})
+		mustRunInterpreted(p, 1, RunOptions{})
 	}
 }

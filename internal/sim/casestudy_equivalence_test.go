@@ -1,10 +1,11 @@
-package casestudy
+package sim_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"testing"
 
+	"aid/internal/casestudy"
 	"aid/internal/sim"
 	"aid/internal/trace"
 )
@@ -14,7 +15,7 @@ import (
 // JSON traces across seeds, uninstrumented and under injection plans
 // that exercise every intervention mechanism on real study methods.
 func TestCompiledEngineEquivalence(t *testing.T) {
-	for _, s := range All() {
+	for _, s := range casestudy.All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
@@ -31,14 +32,14 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 			}
 			for pi, plan := range plans {
 				for seed := int64(1); seed <= 12; seed++ {
-					want, err := sim.Run(s.Program, seed, sim.RunOptions{
-						Plan: plan, MaxSteps: s.MaxSteps, Engine: sim.EngineInterpreter,
+					want, err := sim.RunInterpreted(s.Program, seed, sim.RunOptions{
+						Plan: plan, MaxSteps: s.MaxSteps,
 					})
 					if err != nil {
 						t.Fatalf("plan %d seed %d: interpreter: %v", pi, seed, err)
 					}
 					got, err := sim.Run(s.Program, seed, sim.RunOptions{
-						Plan: plan, MaxSteps: s.MaxSteps, Engine: sim.EngineCompiled,
+						Plan: plan, MaxSteps: s.MaxSteps,
 					})
 					if err != nil {
 						t.Fatalf("plan %d seed %d: compiled: %v", pi, seed, err)
@@ -61,12 +62,12 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 // package's arena reset hook.
 func TestCollectCorpusEngineEquivalence(t *testing.T) {
 	var interp, compiled trace.Set
-	for _, s := range All() {
+	for _, s := range casestudy.All() {
 		interp.Reset()
 		compiled.Reset()
 		for seed := int64(1); seed <= 40; seed++ {
-			wi, err := sim.Run(s.Program, seed, sim.RunOptions{
-				MaxSteps: s.MaxSteps, Engine: sim.EngineInterpreter,
+			wi, err := sim.RunInterpreted(s.Program, seed, sim.RunOptions{
+				MaxSteps: s.MaxSteps,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -18,8 +18,8 @@ import (
 // of replays that follow run on the slot-indexed machine (machine.go)
 // without any string hashing or per-step tree walking.
 //
-// The compiled form is step-exact with the tree-walking interpreter
-// (runtime.go): every interpreter scheduler step — including the
+// The compiled form is step-exact with the tree-walking reference
+// interpreter (interp_test.go, test-only): every interpreter scheduler step — including the
 // "invisible" ones like block-frame pops, the two-step while-loop exit,
 // and one-frame-per-step unwinding — maps to exactly one instruction
 // execution. Step-exactness is what makes the traces byte-identical:

@@ -12,20 +12,21 @@ import (
 
 // This file is the compiled engine's oracle harness: every program is
 // run by both engines and the JSON-encoded traces must be
-// byte-identical. The interpreter (EngineInterpreter) is the reference
-// semantics; the compiled engine must match it step for step, because
-// timestamps and the scheduler's RNG draws are step counters.
+// byte-identical. The interpreter (runInterpreted, interp_test.go) is
+// the reference semantics; the compiled engine must match it step for
+// step, because timestamps and the scheduler's RNG draws are step
+// counters.
 
 // assertEngineParity runs p under both engines for each seed and fails
 // on the first byte difference.
 func assertEngineParity(t *testing.T, p *Program, seeds []int64, plan Plan, maxSteps int) {
 	t.Helper()
 	for _, seed := range seeds {
-		want, err := Run(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps, Engine: EngineInterpreter})
+		want, err := runInterpreted(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps})
 		if err != nil {
 			t.Fatalf("%s seed %d: interpreter: %v", p.Name, seed, err)
 		}
-		got, err := Run(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps, Engine: EngineCompiled})
+		got, err := Run(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps})
 		if err != nil {
 			t.Fatalf("%s seed %d: compiled: %v", p.Name, seed, err)
 		}
@@ -57,6 +58,8 @@ func TestEquivalenceHandWrittenPrograms(t *testing.T) {
 	for _, plan := range racyPlans() {
 		assertEngineParity(t, racyProgram(), seeds, plan, 0)
 	}
+	// A negative budget means the default on both engines.
+	assertEngineParity(t, racyProgram(), seeds, nil, -1)
 }
 
 // racyPlans are the injected variants of the racy program: the Fig. 2
@@ -301,4 +304,21 @@ func TestEquivalenceProperty(t *testing.T) {
 		assertEngineParity(t, p, []int64{1, 2, 3}, nil, 2000)
 		assertEngineParity(t, p, []int64{1, 2}, genPlan(r, p), 2000)
 	}
+}
+
+// FuzzEngineEquivalence is TestEquivalenceProperty as a fuzz target:
+// progSeed drives genProgram and genPlan, runSeed the scheduler. Each
+// input is checked uninstrumented and under its generated plan, at the
+// property test's step budget. The seed corpus is the property test's
+// generator seed crossed with its run seeds.
+func FuzzEngineEquivalence(f *testing.F) {
+	for _, runSeed := range []int64{1, 2, 3} {
+		f.Add(int64(20260728), runSeed)
+	}
+	f.Fuzz(func(t *testing.T, progSeed, runSeed int64) {
+		r := rand.New(rand.NewSource(progSeed))
+		p := genProgram(r, 0)
+		assertEngineParity(t, p, []int64{runSeed}, nil, 2000)
+		assertEngineParity(t, p, []int64{runSeed}, genPlan(r, p), 2000)
+	})
 }

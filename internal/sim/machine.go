@@ -202,7 +202,7 @@ func execID(name string, seed int64) string {
 }
 
 // Run executes the prepared program once under the given seed; the
-// trace is byte-identical to the interpreter's for the same
+// trace is byte-identical to the reference interpreter's for the same
 // (program, seed, plan) triple. maxSteps <= 0 means DefaultMaxSteps.
 func (pp *Prepared) Run(seed int64, maxSteps int) trace.Execution {
 	return pp.runCapture(seed, maxSteps, nil)

@@ -7,10 +7,14 @@ import (
 	"aid/internal/trace"
 )
 
-// BatchOptions configures a RunBatch sweep.
+// BatchOptions configures a RunBatch sweep. Plan and MaxSteps apply to
+// every execution, as in RunOptions.
 type BatchOptions struct {
-	// Run is applied to every execution (same plan, same step budget).
-	Run RunOptions
+	// Plan is the fault-injection plan (nil for uninstrumented runs).
+	Plan Plan
+	// MaxSteps is the per-run step budget; zero or negative means
+	// DefaultMaxSteps.
+	MaxSteps int
 	// Workers is the pool width; <= 0 means GOMAXPROCS.
 	Workers int
 }
@@ -27,18 +31,13 @@ type BatchOptions struct {
 // Cancelling ctx stops the sweep within one task-drain and returns
 // ctx.Err() (see par.Map's cancellation contract).
 func RunBatch(ctx context.Context, p *Program, seeds []int64, opts BatchOptions) ([]trace.Execution, error) {
-	if opts.Run.Engine == EngineCompiled {
-		// Compile the program and splice the plan once; the workers
-		// share the read-only Prepared and only pay for the runs.
-		pp, err := Prepare(p, opts.Run.Plan)
-		if err != nil {
-			return nil, err
-		}
-		return par.Map(ctx, len(seeds), opts.Workers, func(i int) (trace.Execution, error) {
-			return pp.Run(seeds[i], opts.Run.MaxSteps), nil
-		})
+	// Compile the program and splice the plan once; the workers share
+	// the read-only Prepared and only pay for the runs.
+	pp, err := Prepare(p, opts.Plan)
+	if err != nil {
+		return nil, err
 	}
 	return par.Map(ctx, len(seeds), opts.Workers, func(i int) (trace.Execution, error) {
-		return Run(p, seeds[i], opts.Run)
+		return pp.Run(seeds[i], opts.MaxSteps), nil
 	})
 }

@@ -76,8 +76,8 @@ func TestRunBatchMaxStepsExpiry(t *testing.T) {
 		While{Cond: Cond{A: V("i"), Op: LT, B: Lit(1)}, Body: []Op{Nop{}}},
 	)
 	got, err := RunBatch(context.Background(), p, []int64{1, 2, 3}, BatchOptions{
-		Run:     RunOptions{MaxSteps: 50},
-		Workers: 3,
+		MaxSteps: 50,
+		Workers:  3,
 	})
 	if err != nil {
 		t.Fatal(err)

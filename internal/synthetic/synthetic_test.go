@@ -2,11 +2,13 @@ package synthetic
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"aid/internal/core"
+	"aid/internal/grouptest"
 	"aid/internal/predicate"
 )
 
@@ -147,10 +149,20 @@ func TestAIDBeatsLinearProperty(t *testing.T) {
 			return false
 		}
 		n, err := RunInstance(context.Background(), inst, AID, seedRaw)
-		if err != nil {
+		if err != nil || n > inst.N+1 {
 			return false
 		}
-		return n <= inst.N+1
+		// TAGT on the same world stays within its exact bound
+		// D·(⌈log₂N⌉+1)+1 and finds exactly the D causes. This is the
+		// Fig. 7 scheme, grouptest.Adaptive, whose bound that is; the
+		// Fig. 8 TAGT approach (grouptest.Halving) re-halves every
+		// remainder and can exceed it.
+		pool := inst.World.SortedPreds()
+		tagt, err := grouptest.Adaptive(pool, inst.World.Oracle, seedRaw)
+		if err != nil || len(pool) != inst.N || len(tagt.Causes) != inst.D {
+			return false
+		}
+		return tagt.Tests <= inst.D*(int(math.Ceil(math.Log2(float64(inst.N))))+1)+1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

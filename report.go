@@ -34,7 +34,9 @@ type Report struct {
 	AIDInterventions int `json:"aidInterventions"`
 	// TAGTInterventions is the measured TAGT cost on the same pool.
 	TAGTInterventions int `json:"tagtInterventions"`
-	// TAGTWorstCase is the paper's D·⌈log₂N⌉ worst case (Fig. 7 col 6).
+	// TAGTWorstCase is the paper's D·⌈log₂N⌉ reference column (Fig. 7
+	// col 6), not a cap on TAGTInterventions: the scheme's exact bound
+	// is D·(⌈log₂N⌉+1)+1 (see grouptest.Adaptive).
 	TAGTWorstCase int `json:"tagtWorstCase"`
 
 	// RootCause is C0 ("" when no cause was confirmed).
